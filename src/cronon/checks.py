@@ -18,13 +18,7 @@ import numpy as np
 from .core import DensityMatrix, EnergySpectrum, Observable
 from .kernel import KernelParams, coarse_grain, poisson_pmf
 from .observables import ehrenfest_fd_residual, tm_report
-from .propagator import (
-    EvolutionMethod,
-    evolve,
-    milburn_factor,
-    propagator_factor,
-    quadrature_factor,
-)
+from .propagator import EvolutionMethod, coherence_factors, evolve, milburn_factor
 
 __all__ = [
     "CheckReport",
@@ -178,22 +172,16 @@ def _duality_and_frozen(params: KernelParams) -> tuple[float, float]:
                     break
                 n += 1
             duality_err = max(duality_err, abs(acc - milburn_factor(omega, params, t)))
-    frozen_err = 0.0
-    omega_frozen = 2.0 * math.pi / params.tau1
-    for t in (0.5, 1.0, 5.0, 20.0):
-        frozen_err = max(frozen_err, abs(milburn_factor(omega_frozen, params, t) - 1.0))
-    return duality_err, frozen_err
+    frozen = coherence_factors(2.0 * math.pi / params.tau1, params, [0.5, 1.0, 5.0, 20.0],
+                               EvolutionMethod.milburn())
+    return duality_err, float(np.max(np.abs(frozen - 1.0)))
 
 
 def _oracle_suite(params: KernelParams) -> float:
-    err = 0.0
-    for omega_tau1 in (0.1, 1.0, 10.0):
-        omega = omega_tau1 / params.tau1
-        for t in (0.5, 5.0):
-            closed = propagator_factor(omega, params, t)
-            quad = quadrature_factor(omega, params, t, tol=1e-10)
-            err = max(err, abs(closed - quad))
-    return err
+    omega = np.array([0.1, 1.0, 10.0]) / params.tau1
+    closed = coherence_factors(omega, params, [0.5, 5.0], EvolutionMethod.closed_form())
+    quad = coherence_factors(omega, params, [0.5, 5.0], EvolutionMethod.quadrature(tol=1e-10))
+    return float(np.max(np.abs(closed - quad)))
 
 
 def run_all_checks(seed: int = 20240601, instances: int = 100, states: int = 200) -> CheckReport:

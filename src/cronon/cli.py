@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from .kernel import KernelParams, gamma_pdf, kernel_moments
 from .propagator import (
     EvolutionMethod,
     Method,
+    decoherence_rates,
     evolve,
     milburn_frozen_frequencies,
     propagator_factor,
@@ -110,12 +110,15 @@ def _merge(args, defaults: dict, flag_names: tuple[str, ...]) -> dict:
 
 
 def _parse_times(spec, tau2: float, grid_units: bool):
-    if isinstance(spec, str):
-        values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
-    elif isinstance(spec, dict):
-        values = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
-    else:
-        values = [float(v) for v in spec]
+    try:
+        if isinstance(spec, str):
+            values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+        elif isinstance(spec, dict):
+            values = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
+        else:
+            values = [float(v) for v in np.atleast_1d(spec)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed times {spec!r}: {exc}")
     if not values:
         raise InvalidInputError("empty time list")
     if grid_units:
@@ -246,7 +249,7 @@ def _scenario_osc(cfg) -> tuple[str, dict]:
         a0=complex(float(cfg.get("a0_re", 1.0)), float(cfg.get("a0_im", 0.0))),
         kernel=kernel,
     )
-    gamma = decay_rate(params.omega, kernel)
+    gamma, nu = map(float, decoherence_rates(params.omega, kernel))
     default_span = 4.0 / gamma if gamma > 0 else 10.0 * kernel.tau2
     times = _parse_times(cfg.get("times", {"start": 0.0, "stop": default_span, "num": 201}),
                          kernel.tau2, bool(cfg.get("grid_units", False)))
@@ -256,9 +259,9 @@ def _scenario_osc(cfg) -> tuple[str, dict]:
     summary = {
         "omega": params.omega,
         "gamma": gamma,
-        "nu": math.atan(params.omega * kernel.tau1) / kernel.tau2,
+        "nu": nu,
         "milburn_frozen_frequencies": frozen.tolist(),
-        "closed_form_gamma_at_frozen": [decay_rate(w, kernel) for w in frozen],
+        "closed_form_gamma_at_frozen": decoherence_rates(frozen, kernel)[0].tolist(),
     }
     return _csv(("t", "re_a", "im_a", "modulus"), rows), summary
 
@@ -352,10 +355,10 @@ def _scenario_epr(cfg) -> tuple[str, dict]:
         )
         for t in times
     ]
-    gamma = decay_rate(params.omega0, kernel)
+    gamma, nu = map(float, decoherence_rates(params.omega0, kernel))
     summary = {
         "gamma": gamma,
-        "nu": math.atan(params.omega0 * kernel.tau1) / kernel.tau2,
+        "nu": nu,
         "flight_time": params.flight_time,
         "gamma_flight_time": gamma * params.flight_time,
     }
@@ -376,7 +379,7 @@ def cmd_scenario(args) -> int:
     if args.name not in _SCENARIOS:
         raise InvalidInputError(f"unknown scenario {args.name!r}")
     if cfg.get("times") is None and cfg.get("t") is not None:
-        cfg["times"] = [0.0, float(cfg["t"])] if float(cfg["t"]) > 0 else [0.0]
+        cfg["times"] = [0.0, cfg["t"]] if cfg["t"] != 0 else [0.0]
     csv_text, summary = _SCENARIOS[args.name](cfg)
     _scenario_out(csv_text, summary, cfg.get("out"))
     return 0
@@ -441,8 +444,7 @@ def _sweep_reduction(target: str, reduction: str, cell: dict) -> float:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge(args, {"workers": 1, "allow_large": False},
-                 ("workers", "allow_large", "out"))
+    cfg = _merge(args, {"allow_large": False}, ("allow_large", "out"))
     _require(cfg, "target", "reduction", "axes")
     axes = cfg["axes"]
     if not isinstance(axes, list) or not axes:
@@ -470,21 +472,11 @@ def cmd_sweep(args) -> int:
     target = str(cfg["target"])
     reduction = str(cfg["reduction"])
 
-    cells = list(itertools.product(*[b() for b in builders]))
-
-    def run_cell(cell_values):
+    rows = []
+    for values in itertools.product(*[b() for b in builders]):
         cell = dict(base)
-        cell.update(zip(names, cell_values))
-        return _sweep_reduction(target, reduction, cell)
-
-    workers = max(1, int(cfg["workers"]))
-    if workers == 1:
-        values = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(run_cell, cells))
-
-    rows = [list(cell) + [value] for cell, value in zip(cells, values)]
+        cell.update(zip(names, values))
+        rows.append(list(values) + [_sweep_reduction(target, reduction, cell)])
     _write_text(_csv(tuple(names) + ("value",), rows), cfg.get("out"))
     return 0
 
@@ -544,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep with a scalar reduction")
     _add_common(p)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility and ignored: cells run serially")
     p.add_argument("--allow-large", dest="allow_large", action="store_const", const=True)
     p.set_defaults(func=cmd_sweep)
 

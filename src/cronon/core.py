@@ -59,6 +59,10 @@ class EnergySpectrum:
             raise InvalidInputError("energies must be finite")
         if not (np.isfinite(self.hbar) and self.hbar > 0):
             raise InvalidInputError(f"hbar must be positive, got {self.hbar}")
+        # checked once here, so no Bohr frequency (E_n - E_m)/hbar overflows
+        span = (float(self.energies.max()) - float(self.energies.min())) / self.hbar
+        if not np.isfinite(span):
+            raise InvalidInputError(f"Bohr frequencies overflow: (E_max - E_min)/hbar = {span}")
 
     @property
     def dim(self) -> int:
@@ -192,15 +196,21 @@ def _check_dims(rho: DensityMatrix, a: Observable):
 def expectation(rho: DensityMatrix, a: Observable) -> float:
     """Tr(rho A). The imaginary residue must be negligible and is dropped."""
     _check_dims(rho, a)
-    tr = complex(np.einsum("ij,ji->", rho.entries, a.entries))
+    return float(_real_trace(np.einsum("ij,ji->", rho.entries, a.entries), a))
+
+
+def _real_trace(tr, a: Observable):
+    """Real part of one or more values of Tr(rho A); the imaginary residue
+    must be negligible."""
     scale = max(1.0, float(np.max(np.abs(a.entries))) * a.dim)
-    if abs(tr.imag) > 1e-12 * scale:
+    residue = float(np.max(np.abs(np.imag(tr)), initial=0.0))
+    if residue > 1e-12 * scale:
         raise NumericFailureError(
-            f"expectation has non-negligible imaginary part {tr.imag:.3e}; "
+            f"expectation has non-negligible imaginary part {residue:.3e}; "
             "inputs are probably not Hermitian",
-            achieved_error=abs(tr.imag),
+            achieved_error=residue,
         )
-    return tr.real
+    return np.real(tr)
 
 
 def variance(rho: DensityMatrix, a: Observable) -> float:

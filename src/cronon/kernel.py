@@ -19,13 +19,15 @@ coarse_grain() evaluates integrals of the form
     I = integral_0^inf P(t, t') f(t') dt'
 
 to a requested absolute tolerance. For shape k < 1 the kernel has an
-integrable singularity at t' = 0, which is handled by QUADPACK's
-algebraic-weight rule rather than by sampling the raw integrand.
+integrable singularity at t' = 0, and for k < 2 a singular derivative
+there; both are handled by QUADPACK's algebraic-weight rule rather than
+by sampling the raw integrand.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,10 +67,10 @@ class KernelParams:
     tau2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau1) and self.tau1 > 0):
-            raise InvalidInputError(f"tau1 must be positive, got {self.tau1}")
-        if not (np.isfinite(self.tau2) and self.tau2 > 0):
-            raise InvalidInputError(f"tau2 must be positive, got {self.tau2}")
+        for name in ("tau1", "tau2"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise InvalidInputError(f"{name} must be a positive number, got {value!r}")
 
     @property
     def ordering_advisory(self) -> bool:
@@ -206,34 +208,22 @@ def coarse_grain(
     eps = 0.4 * tol
     lgk = float(special.gammaln(k))
 
-    if k < 1.0:
-        # lam^(k-1) blows up at 0: hand the algebraic factor to QUADPACK
-        # (QAWS weight (x-a)^alpha with alpha = k-1 > -1) and integrate
-        # the remaining smooth part.
-        def smooth(lam, take):
-            return take(math.exp(-lam - lgk) * f(tau1 * lam))
+    if k < 2.0:
+        # lam^(k-1) or its derivative blows up at 0 (QAGS then reports
+        # roundoff at isolated points): hand the algebraic factor to QUADPACK
+        # (QAWS weight (x-a)^alpha, alpha = k-1 > -1), integrate the rest.
+        lam_lo, weight = 0.0, {"weight": "alg", "wvar": (k - 1.0, 0.0)}
 
-        re, err_re = _quad_checked(
-            lambda lam: smooth(lam, lambda z: z.real), 0.0, lam_hi, eps,
-            weight="alg", wvar=(k - 1.0, 0.0),
-        )
-        im, err_im = _quad_checked(
-            lambda lam: smooth(lam, lambda z: z.imag), 0.0, lam_hi, eps,
-            weight="alg", wvar=(k - 1.0, 0.0),
-        )
+        def weighted(lam):
+            return math.exp(-lam - lgk) * f(tau1 * lam)
     else:
-        lam_lo = float(special.gammaincinv(k, tail / 2.0))
+        lam_lo, weight = float(special.gammaincinv(k, tail / 2.0)), {}
 
-        def weighted(lam, take):
-            w = math.exp(-lam + (k - 1.0) * math.log(lam) - lgk)
-            return take(w * f(tau1 * lam))
+        def weighted(lam):
+            return math.exp(-lam + (k - 1.0) * math.log(lam) - lgk) * f(tau1 * lam)
 
-        re, err_re = _quad_checked(
-            lambda lam: weighted(lam, lambda z: z.real), lam_lo, lam_hi, eps
-        )
-        im, err_im = _quad_checked(
-            lambda lam: weighted(lam, lambda z: z.imag), lam_lo, lam_hi, eps
-        )
+    re, err_re = _quad_checked(lambda lam: weighted(lam).real, lam_lo, lam_hi, eps, **weight)
+    im, err_im = _quad_checked(lambda lam: weighted(lam).imag, lam_lo, lam_hi, eps, **weight)
 
     achieved = err_re + err_im + tol / 10.0
     if achieved > tol:

@@ -28,10 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, EnergySpectrum, Observable, expectation, variance
-from .core import hamiltonian_observable
-from .errors import DegenerateInputError, InvalidInputError
+from .core import _real_trace, bohr_frequencies, hamiltonian_observable
+from .errors import DegenerateInputError, DimensionMismatchError, InvalidInputError
 from .kernel import KernelParams
-from .propagator import EvolutionMethod, evolve
+from .propagator import EvolutionMethod, coherence_factors, evolve
+
+#: Multipliers expectation_trajectory holds at once (4 MB of complex): its
+#: time chunks bound memory at any dimension.
+_CHUNK = 2**18
 
 __all__ = [
     "Trajectory",
@@ -84,12 +88,18 @@ def expectation_trajectory(
     times,
     method: EvolutionMethod,
 ) -> Trajectory:
-    """Tr(rho(t) A) over the given times with the selected evolution map."""
+    """Tr(rho(t) A) = sum over n, m of rho0[n, m] F_nm(t) A[m, n] over the
+    given times with the selected evolution map."""
+    if not rho0.dim == a.dim == spectrum.dim:
+        raise DimensionMismatchError(f"dims differ: state {rho0.dim}, observable {a.dim}, "
+                                     f"spectrum {spectrum.dim}")
     times = np.asarray(times, dtype=float)
-    values = np.array(
-        [expectation(evolve(rho0, spectrum, params, t, method), a) for t in times]
-    )
-    return Trajectory(times=times, values=values, method=method)
+    omega = bohr_frequencies(spectrum).omega
+    p = rho0.entries * a.entries.T
+    chunks = np.array_split(times, max(1, times.size * omega.size // _CHUNK))
+    values = np.concatenate([np.einsum("tij,ij->t", coherence_factors(omega, params, c, method), p)
+                             for c in chunks])
+    return Trajectory(times=times, values=_real_trace(values, a), method=method)
 
 
 def _mean_and_commutator(rho0, a, spectrum, params, t):

@@ -15,26 +15,30 @@ the kernel times (tau1, tau2) and the elapsed time t.
     quadrature         kernel average of exp(-i w t')   (oracle)
     monte_carlo        sample average of exp(-i w t')   (oracle)
 
-The complex power in the closed form is branch-safe: 1 + i w tau1 has
-positive real part for every real w, so the principal logarithm never
-crosses the cut, and the exponent t/tau2 is real and non-negative.
+The closed form takes its phase from arctan(w tau1), the principal
+argument of 1 + i w tau1, which has positive real part for every real w.
 
-Populations (w = 0) are untouched by every map, which makes trace
-preservation exact, and factors satisfy factor(-w) = conj(factor(w)),
-which preserves hermiticity. The closed form is a mixture of unitaries,
-hence completely positive.
+FACTORS maps each method to one function f(w, params, t, method) that
+broadcasts arrays of frequencies w >= 0 against arrays of times t >= 0.
+Every caller goes through coherence_factors (arrays) or
+coherence_factor (scalars), which evaluate the table at |w|, conjugate
+where w < 0 and return exactly 1 where w = 0 or t = 0. Populations are
+therefore untouched by every map, which makes trace preservation exact,
+and factor(-w) = conj(factor(w)) holds bit for bit, which preserves
+hermiticity. The closed form is a mixture of unitaries, hence
+completely positive.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BohrFrequencyTable, DensityMatrix, EnergySpectrum, bohr_frequencies
+from .core import BohrFrequencyTable, DensityMatrix, EnergySpectrum, _frozen_array
+from .core import bohr_frequencies
 from .errors import DimensionMismatchError, InvalidInputError
 from .kernel import KernelParams, SampleSet, coarse_grain, sample_effective_time
 
@@ -42,6 +46,9 @@ __all__ = [
     "Method",
     "EvolutionMethod",
     "DecoherenceRates",
+    "FACTORS",
+    "check_times",
+    "decoherence_rates",
     "step_factor",
     "propagator_factor",
     "unitary_factor",
@@ -50,6 +57,7 @@ __all__ = [
     "quadrature_factor",
     "monte_carlo_factor",
     "coherence_factor",
+    "coherence_factors",
     "rates",
     "evolve",
     "milburn_frozen_frequencies",
@@ -137,55 +145,157 @@ class DecoherenceRates:
     nu: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
-        v = np.asarray(self.nu, dtype=float)
-        g.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "nu", v)
+        object.__setattr__(self, "gamma", _frozen_array(self.gamma, float))
+        object.__setattr__(self, "nu", _frozen_array(self.nu, float))
+
+
+def check_times(times) -> np.ndarray:
+    """Times as a float array; raises InvalidInputError naming the first
+    time that is NaN, infinite or negative."""
+    t = np.asarray(times, dtype=float)
+    bad = t[~((t >= 0.0) & (t < math.inf))]
+    if bad.size:
+        raise InvalidInputError(f"times must be finite and non-negative, got {float(bad[0])!r}")
+    return t
+
+
+def decoherence_rates(omega, params: KernelParams):
+    """(gamma, nu) = (ln(1 + x^2) / (2 tau2), arctan(x) / tau2), x = omega tau1.
+
+    Elementwise over arrays. log1p reproduces the small-frequency limit
+    gamma ~ omega^2 tau1^2 / (2 tau2) without cancellation.
+    """
+    x = omega * params.tau1
+    return np.log1p(x * x) / (2.0 * params.tau2), np.arctan(x) / params.tau2
+
+
+def rates(table: BohrFrequencyTable, params: KernelParams) -> DecoherenceRates:
+    """Decay rates and frequency shifts for every level pair."""
+    gamma, nu = decoherence_rates(table.omega, params)
+    return DecoherenceRates(gamma=gamma, nu=nu)
+
+
+# ------------------------------------------------------------ factor table
+
+def _closed_form(w, params, t, method):
+    gamma, nu = decoherence_rates(w, params)
+    return np.exp(-(gamma + 1j * nu) * t)
+
+
+def _finite_difference(w, params, t, method):
+    """The closed form, defined only at t = k tau2 for integer k."""
+    k = t / params.tau2
+    steps = np.rint(k)
+    off = np.abs(k - steps) > _GRID_RTOL * np.maximum(1.0, k)
+    if np.any(off):
+        raise InvalidInputError(
+            f"finite_difference is defined only on the cronon grid; "
+            f"t/tau2 = {float(np.asarray(k)[off][0])!r} is not an integer"
+        )
+    return _closed_form(w, params, steps * params.tau2, method)
+
+
+def _oracle(average):
+    """Table entry of an oracle: average(freqs, params, t, method) gives
+    the multipliers at each distinct t > 0 for its frequencies > 0."""
+
+    def entry(w, params, t, method):
+        w, t = np.broadcast_arrays(w, t)
+        out = np.ones(w.shape, dtype=complex)
+        live = (w > 0.0) & (t > 0.0)
+        for tv in np.unique(t[live]):
+            at = live & (t == tv)
+            out[at] = average(w[at], params, float(tv), method)
+        return out
+
+    return entry
+
+
+def _quadrature_at(freqs, params, t, method):
+    return [coarse_grain(params, t, lambda tp: complex(math.cos(w * tp), -math.sin(w * tp)),
+                         tol=method.tol)
+            for w in freqs.tolist()]
+
+
+def _monte_carlo_at(freqs, params, t, method):
+    samples = sample_effective_time(params, t, method.seed, method.count)
+    return [monte_carlo_factor(w, samples)[0] for w in freqs.tolist()]
+
+
+#: The coherence multiplier of every map, f(w, params, t, method),
+#: broadcasting w >= 0 against t >= 0 (formulas in the module docstring).
+#: The oracles evaluate each element separately; Monte Carlo shares one
+#: draw of effective times per t.
+FACTORS = {
+    Method.UNITARY: lambda w, params, t, method: np.exp(-1j * w * t),
+    Method.CLOSED_FORM: _closed_form,
+    Method.FINITE_DIFFERENCE: _finite_difference,
+    Method.SECOND_ORDER: lambda w, params, t, method: np.exp(
+        (-1j * (w * params.tau1) - 0.5 * (w * params.tau1) ** 2) * (t / params.tau2)),
+    Method.MILBURN: lambda w, params, t, method: np.exp(
+        (t / params.tau2) * (np.exp(-1j * w * params.tau1) - 1.0)),
+    Method.QUADRATURE: _oracle(_quadrature_at),
+    Method.MONTE_CARLO: _oracle(_monte_carlo_at),
+}
+
+
+def coherence_factors(omega, params: KernelParams, times, method: EvolutionMethod) -> np.ndarray:
+    """Multipliers at every time and Bohr frequency, of shape
+    times.shape + omega.shape.
+
+    The table is evaluated once per distinct |omega| and time. The
+    result is exactly 1 where omega or t is 0, and conj(factor(|omega|))
+    where omega < 0, so opposite frequencies get exact conjugates.
+    """
+    w = np.asarray(omega, dtype=float)
+    t = check_times(times)[..., None]
+    freqs, inverse = np.unique(np.abs(w), return_inverse=True)
+    f = FACTORS[method.kind](freqs, params, t, method)
+    f = np.where((freqs == 0.0) | (t == 0.0), 1.0 + 0.0j, f)[..., inverse.reshape(w.shape)]
+    return np.where(w < 0.0, np.conj(f), f)
+
+
+def coherence_factor(omega: float, params: KernelParams, t: float,
+                     method: EvolutionMethod) -> complex:
+    """Multiplier of a single coherence under the selected map."""
+    if not 0.0 <= t < math.inf:  # the test of check_times, at a scalar's cost
+        check_times(t)
+    if omega == 0.0 or t == 0.0:
+        return 1.0 + 0.0j
+    f = complex(FACTORS[method.kind](abs(omega), params, t, method))
+    return f.conjugate() if omega < 0.0 else f
 
 
 def step_factor(omega: float, params: KernelParams) -> complex:
     """Single-cronon multiplier (1 + i omega tau1)^(-1)."""
-    if omega == 0.0:
-        return 1.0 + 0.0j
-    return 1.0 / (1.0 + 1j * omega * params.tau1)
+    return coherence_factor(omega, params, params.tau2, EvolutionMethod.finite_difference())
 
 
 def propagator_factor(omega: float, params: KernelParams, t: float) -> complex:
-    """Closed-form coherence multiplier exp(-(t/tau2) Log(1 + i omega tau1)).
-
-    Equal to exp(-(gamma + i nu) t) with the rates of `rates()`. The
-    omega = 0 and t = 0 cases short-circuit to exactly 1.
-    """
-    if t < 0:
-        raise InvalidInputError(f"t must be non-negative, got {t}")
-    if omega == 0.0 or t == 0.0:
-        return 1.0 + 0.0j
-    return cmath.exp(-(t / params.tau2) * cmath.log(1.0 + 1j * omega * params.tau1))
+    """Closed-form coherence multiplier exp(-(t/tau2) Log(1 + i omega tau1)),
+    equal to exp(-(gamma + i nu) t) with the rates of `rates()`."""
+    return coherence_factor(omega, params, t, EvolutionMethod.closed_form())
 
 
 def unitary_factor(omega: float, t: float) -> complex:
-    return cmath.exp(-1j * omega * t)
+    # any kernel will do: the unitary map does not read it
+    return coherence_factor(omega, KernelParams(1.0, 1.0), t, EvolutionMethod.unitary())
 
 
 def second_order_factor(omega: float, params: KernelParams, t: float) -> complex:
     """Exact exponential of the second-order (phase diffusion) generator."""
-    x = omega * params.tau1
-    return cmath.exp((-1j * x - 0.5 * x * x) * t / params.tau2)
+    return coherence_factor(omega, params, t, EvolutionMethod.second_order())
 
 
 def milburn_factor(omega: float, params: KernelParams, t: float) -> complex:
     """Poisson-jump multiplier exp((t/tau2)(exp(-i omega tau1) - 1))."""
-    return cmath.exp((t / params.tau2) * (cmath.exp(-1j * omega * params.tau1) - 1.0))
+    return coherence_factor(omega, params, t, EvolutionMethod.milburn())
 
 
 def quadrature_factor(omega: float, params: KernelParams, t: float,
                       tol: float = 1e-10) -> complex:
     """Kernel average of exp(-i omega t'), the quadrature oracle."""
-    if t == 0.0:
-        return 1.0 + 0.0j
-    return coarse_grain(params, t, lambda tp: cmath.exp(-1j * omega * tp), tol=tol)
+    return coherence_factor(omega, params, t, EvolutionMethod.quadrature(tol))
 
 
 def monte_carlo_factor(omega: float, samples: SampleSet) -> tuple[complex, float]:
@@ -201,100 +311,6 @@ def monte_carlo_factor(omega: float, samples: SampleSet) -> tuple[complex, float
     return factor, math.sqrt(var / n)
 
 
-def rates(table: BohrFrequencyTable, params: KernelParams) -> DecoherenceRates:
-    """Decay rates and frequency shifts for every level pair.
-
-    gamma uses log1p so the small-frequency limit gamma ~ omega^2
-    tau1^2 / (2 tau2) is reproduced without cancellation.
-    """
-    x = table.omega * params.tau1
-    gamma = np.log1p(x * x) / (2.0 * params.tau2)
-    nu = np.arctan(x) / params.tau2
-    return DecoherenceRates(gamma=gamma, nu=nu)
-
-
-def _on_grid(t: float, tau2: float) -> int | None:
-    """Integer k with t = k tau2, or None if t is off the cronon grid."""
-    k = t / tau2
-    kr = round(k)
-    if abs(k - kr) <= _GRID_RTOL * max(1.0, abs(k)):
-        return int(kr)
-    return None
-
-
-def coherence_factor(
-    omega: float,
-    params: KernelParams,
-    t: float,
-    method: EvolutionMethod,
-    samples: SampleSet | None = None,
-) -> complex:
-    """Scalar multiplier of a single coherence under the selected map.
-
-    For the Monte-Carlo map a shared SampleSet may be passed in so every
-    matrix element of one evolution sees the same draw; otherwise a
-    fresh deterministic draw is made from the method's seed and count.
-    """
-    if t < 0:
-        raise InvalidInputError(f"t must be non-negative, got {t}")
-    if omega == 0.0 or t == 0.0:
-        return 1.0 + 0.0j
-    kind = method.kind
-    if kind is Method.UNITARY:
-        return unitary_factor(omega, t)
-    if kind is Method.CLOSED_FORM:
-        return propagator_factor(omega, params, t)
-    if kind is Method.FINITE_DIFFERENCE:
-        k = _on_grid(t, params.tau2)
-        if k is None:
-            raise InvalidInputError(
-                f"finite_difference is defined only on the cronon grid; "
-                f"t/tau2 = {t / params.tau2!r} is not an integer"
-            )
-        return step_factor(omega, params) ** k
-    if kind is Method.SECOND_ORDER:
-        return second_order_factor(omega, params, t)
-    if kind is Method.MILBURN:
-        return milburn_factor(omega, params, t)
-    if kind is Method.QUADRATURE:
-        return quadrature_factor(omega, params, t, tol=method.tol)
-    if kind is Method.MONTE_CARLO:
-        if samples is None:
-            samples = sample_effective_time(params, t, method.seed, method.count)
-        return monte_carlo_factor(omega, samples)[0]
-    raise InvalidInputError(f"unhandled method {kind}")  # pragma: no cover
-
-
-def _factor_matrix(
-    omega: np.ndarray, params: KernelParams, t: float, method: EvolutionMethod
-) -> np.ndarray:
-    """Elementwise multipliers, exactly 1 on the diagonal and exactly
-    conjugate-symmetric off it."""
-    dim = omega.shape[0]
-    out = np.ones((dim, dim), dtype=complex)
-    if t == 0.0:
-        return out
-
-    if method.kind is Method.FINITE_DIFFERENCE and _on_grid(t, params.tau2) is None:
-        raise InvalidInputError(
-            f"finite_difference is defined only on the cronon grid; "
-            f"t/tau2 = {t / params.tau2!r} is not an integer"
-        )
-    samples = None
-    if method.kind is Method.MONTE_CARLO:
-        samples = sample_effective_time(params, t, method.seed, method.count)
-
-    for n in range(dim):
-        for m in range(n + 1, dim):
-            w = omega[n, m]
-            if w == 0.0:
-                continue
-            f = coherence_factor(w, params, t, method, samples=samples)
-            out[n, m] = f
-            out[m, n] = f.conjugate()
-    return out
-
-
 def evolve(
     rho0: DensityMatrix,
     spectrum: EnergySpectrum,
@@ -306,16 +322,14 @@ def evolve(
 
     Populations are carried over bit-for-bit (their multiplier is the
     exact constant 1), so the trace is preserved exactly for every
-    method, Monte Carlo included.
+    method, Monte Carlo included, and the multipliers of (n, m) and
+    (m, n) are exact conjugates.
     """
     if rho0.dim != spectrum.dim:
         raise DimensionMismatchError(
             f"state dim {rho0.dim} != spectrum dim {spectrum.dim}"
         )
-    if t < 0:
-        raise InvalidInputError(f"t must be non-negative, got {t}")
-    omega = bohr_frequencies(spectrum).omega
-    factors = _factor_matrix(omega, params, t, method)
+    factors = coherence_factors(bohr_frequencies(spectrum).omega, params, t, method)
     return DensityMatrix(rho0.entries * factors)
 
 

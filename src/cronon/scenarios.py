@@ -43,7 +43,8 @@ from .core import DensityMatrix
 from .errors import InvalidInputError, ModelMismatchError, NumericWarning
 from .kernel import KernelParams, sample_effective_time
 from .observables import Trajectory
-from .propagator import EvolutionMethod, coherence_factor, propagator_factor
+from .propagator import EvolutionMethod, check_times, coherence_factor, coherence_factors
+from .propagator import decoherence_rates
 
 __all__ = [
     "OscillatorParams",
@@ -71,6 +72,8 @@ __all__ = [
 #: the exact-evolution oracle run recorded in the test fixtures.
 CAT_FREQ_COEFF = 0.25
 
+_CLOSED_FORM = EvolutionMethod.closed_form()
+
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -80,8 +83,7 @@ _PAULI = {
 
 def decay_rate(omega: float, kernel: KernelParams) -> float:
     """Coherence decay rate ln(1 + omega^2 tau1^2) / (2 tau2)."""
-    x = omega * kernel.tau1
-    return math.log1p(x * x) / (2.0 * kernel.tau2)
+    return float(decoherence_rates(omega, kernel)[0])
 
 
 def _check_positive(**kwargs):
@@ -191,10 +193,7 @@ def oscillator_amplitude(
     omega = 2 pi n / tau1.
     """
     times = np.asarray(times, dtype=float)
-    values = np.array(
-        [complex(params.a0) * coherence_factor(params.omega, params.kernel, t, method)
-         for t in times]
-    )
+    values = complex(params.a0) * coherence_factors(params.omega, params.kernel, times, method)
     return Trajectory(times=times, values=values, method=method)
 
 
@@ -203,24 +202,22 @@ def interference_frequency_oracle(params: CatParams, *, n_samples: int = 256) ->
 
     Evolves the two width-sigma_x packets exactly (complex widths), takes
     the interference cross term at the envelope position x = sigma_x,
-    and fits the slope of its unwrapped phase over an early window
-    beta*t <= 0.05 where packet spreading is negligible.
+    and fits the slope of its phase over an early window beta*t <= 0.05
+    where packet spreading is negligible.
+
+    The cross term is exp(E) / |z| with a real |z|, so its phase is
+    Im(E), read off the exponent directly: exp(E) itself underflows to 0
+    once the packets are far apart (D / sigma_x above about 78).
     """
     sx = params.sigma_x
-    d = params.separation_d
+    half_d = params.separation_d / 2.0
     beta = params.spreading_rate
     t = np.linspace(0.0, 0.05 / beta, n_samples)
     z = 1.0 + 1j * beta * t  # complex width growth factor
-    x = sx
-    x1, x2 = d / 2.0, -d / 2.0
     # psi_j(x,t) ~ (1+i beta t)^(-1/2) exp(-(x-x_j)^2 / (4 sx^2 (1+i beta t)))
-    cross = (
-        np.exp(-((x - x1) ** 2) / (4.0 * sx**2 * z)
-               - ((x - x2) ** 2) / (4.0 * sx**2 * np.conj(z)))
-        / np.abs(z)
-    )
-    phase = np.unwrap(np.angle(cross))
-    slope = np.polyfit(t, phase, 1)[0]
+    exponent = (-((sx - half_d) ** 2) / (4.0 * sx**2 * z)
+                - ((sx + half_d) ** 2) / (4.0 * sx**2 * np.conj(z)))
+    slope = np.polyfit(t, exponent.imag, 1)[0]
     return abs(float(slope))
 
 
@@ -276,8 +273,7 @@ def cat_interference(params: CatParams, t: float, x_grid) -> CatInterference:
     NumericWarning reports the achieved mass otherwise (overlapping
     packets or a too-narrow grid).
     """
-    if t < 0:
-        raise InvalidInputError(f"t must be non-negative, got {t}")
+    check_times(t)
     x = np.asarray(x_grid, dtype=float)
     if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
         raise InvalidInputError("x_grid must be a strictly ascending 1-d grid")
@@ -288,7 +284,7 @@ def cat_interference(params: CatParams, t: float, x_grid) -> CatInterference:
     norm = 1.0 / (2.0 * math.pi * sx**2) ** 0.25
     psi1 = norm * np.exp(-((x - half_d) ** 2) / (4.0 * sx**2))
     psi2 = norm * np.exp(-((x + half_d) ** 2) / (4.0 * sx**2))
-    factor = propagator_factor(omega_if, params.kernel, t)
+    factor = coherence_factor(omega_if, params.kernel, t, _CLOSED_FORM)
     p_bar = 0.5 * psi1**2 + 0.5 * psi2**2 + psi1 * psi2 * factor.real
     mass = float(np.trapezoid(p_bar, x))
     if abs(mass - 1.0) > 1e-6:
@@ -315,8 +311,7 @@ def free_particle_spread(params: CatParams, t: float) -> float:
     effective evolution time, so on top of the ballistic term the
     coarse-grained evolution adds a diffusive contribution linear in t.
     """
-    if t < 0:
-        raise InvalidInputError(f"t must be non-negative, got {t}")
+    check_times(t)
     k = params.kernel
     second_moment = (t * k.tau1 / k.tau2) ** 2 + k.tau1**2 * t / k.tau2
     return params.sigma_x**2 + params.sigma_v**2 * second_moment
@@ -330,10 +325,7 @@ def rabi_population(
     """Population difference d(t); closed form gives
     exp(-gamma t) cos(nu t) with the rates at Omega."""
     times = np.asarray(times, dtype=float)
-    omega = params.rabi_frequency
-    values = np.array(
-        [coherence_factor(omega, params.kernel, t, method).real for t in times]
-    )
+    values = coherence_factors(params.rabi_frequency, params.kernel, times, method).real
     return Trajectory(times=times, values=values, method=method)
 
 
@@ -349,9 +341,7 @@ def epr_state(params: EprParams, t: float) -> DensityMatrix:
     is stationary; the |+-><-+| coherence carries the factor
     exp(-(gamma + i nu) t) at the Larmor splitting omega0.
     """
-    if t < 0:
-        raise InvalidInputError(f"t must be non-negative, got {t}")
-    f = propagator_factor(params.omega0, params.kernel, t)
+    f = coherence_factor(params.omega0, params.kernel, t, _CLOSED_FORM)
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = rho[2, 2] = 0.5
     rho[1, 2] = -0.5 * f
@@ -411,6 +401,7 @@ def fit_envelope_rate(times, values) -> float:
 def spread_monte_carlo(params: CatParams, t: float, seed: int, count: int) -> float:
     """Sample-average oracle for free_particle_spread: averages
     sigma_x^2 + sigma_v^2 t'^2 over drawn effective times."""
+    check_times(t)
     if t == 0.0:
         return params.sigma_x**2
     samples = sample_effective_time(params.kernel, t, seed, count)

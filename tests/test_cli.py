@@ -107,6 +107,29 @@ class TestEvolveCommand:
         assert code == 2
         assert "cronon grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("times, method, bad", [
+        ("nan", "finite_difference", "nan"),
+        ("nan", "closed_form", "nan"),
+        ("1,inf", "quadrature", "inf"),
+        ("-1", "unitary", "-1.0"),
+        ("abc", "closed_form", "abc"),
+    ])
+    def test_bad_times_exit_2(self, three_level_files, capsys, times, method, bad):
+        spectrum, state = three_level_files
+        code = main(["evolve", "--spectrum", spectrum, "--rho0", state,
+                     "--tau1", "1", "--tau2", "1", "--times", times, "--method", method])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "times" in err and bad in err
+
+    def test_single_t_flag(self, three_level_files, capsys):
+        spectrum, state = three_level_files
+        code = main(["evolve", "--spectrum", spectrum, "--rho0", state,
+                     "--tau1", "1", "--tau2", "1", "--t", "1.5"])
+        assert code == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [r[0] for r in rows] == [1.5]
+
     def test_grid_units_times(self, three_level_files, capsys):
         spectrum, state = three_level_files
         code = main(["evolve", "--spectrum", spectrum, "--rho0", state,
@@ -199,6 +222,20 @@ class TestScenarioCommand:
         for mass in summary["density_mass"].values():
             assert abs(mass - 1.0) <= 1e-6
         assert summary["omega_if"] == 3.0  # hbar D / (4 m sigma_x^3)
+
+    @pytest.mark.parametrize("name, flags", [
+        ("rabi", ["--times", "nan"]),
+        ("osc", ["--times", "0,-1"]),
+        ("epr", ["--t", "nan"]),
+        ("epr", ["--times", "inf"]),
+    ])
+    def test_bad_times_exit_2(self, tmp_path, capsys, name, flags):
+        out = tmp_path / "out.csv"
+        code = main(["scenario", name, "--tau1", "1", "--tau2", "1", *flags,
+                     "--out", str(out)])
+        assert code == 2
+        assert "times must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_scenario_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -198,6 +198,11 @@ class TestBohrFrequencies:
         assert np.array_equal(table.omega, -table.omega.T)
         assert np.all(table.omega.diagonal() == 0.0)
 
+    @pytest.mark.parametrize("energies, hbar", [([-1e308, 1e308], 1.0), ([0.0, 1.0], 1e-310)])
+    def test_overflow_rejected(self, energies, hbar):
+        with pytest.raises(InvalidInputError, match="overflow"):
+            bohr_frequencies(EnergySpectrum(energies, hbar=hbar))
+
     def test_gauge_invariance(self):
         energies = np.array([0.1, 0.9, 2.2])
         a = bohr_frequencies(EnergySpectrum(energies))

@@ -28,6 +28,11 @@ class TestKernelParams:
         with pytest.raises(InvalidInputError):
             KernelParams(tau1=1.0, tau2=-1.0)
 
+    @pytest.mark.parametrize("tau1", ["1", None, float("nan"), float("inf")])
+    def test_non_numbers_rejected(self, tau1):
+        with pytest.raises(InvalidInputError):
+            KernelParams(tau1=tau1, tau2=1.0)
+
     def test_ordering_advisory(self):
         assert not KernelParams(tau1=1.0, tau2=2.0).ordering_advisory
         assert not KernelParams(tau1=1.0, tau2=1.0).ordering_advisory

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from cronon import (
     DegenerateInputError,
+    DimensionMismatchError,
     EnergySpectrum,
     EvolutionMethod,
     InvalidInputError,
@@ -63,6 +64,34 @@ class TestExpectationTrajectory:
         e0 = expectation(rho, h)
         traj = expectation_trajectory(rho, h, spec, UNIT, [0.0, 0.7, 2.0, 6.0], method)
         assert_allclose(traj.values, e0, rtol=1e-14)
+
+    @pytest.mark.parametrize("method", [
+        EvolutionMethod.unitary(),
+        EvolutionMethod.closed_form(),
+        EvolutionMethod.milburn(),
+        EvolutionMethod.quadrature(),
+        EvolutionMethod.monte_carlo(seed=3, count=200),
+    ])
+    @pytest.mark.parametrize("chunk", [2**18, 30])  # one chunk, and four
+    def test_matches_per_time_loop(self, method, chunk, monkeypatch):
+        # summation order differs from the loop, so the values agree to
+        # rounding of a sum of dim^2 terms bounded by |A|
+        monkeypatch.setattr("cronon.observables._CHUNK", chunk)
+        rng = np.random.Generator(np.random.PCG64(12))
+        rho = random_density(rng, 5)
+        a = random_observable(rng, 5)
+        spec = random_spectrum(rng, 5)
+        times = [0.0, 0.4, 1.0, 2.5, 7.0]
+        traj = expectation_trajectory(rho, a, spec, UNIT, times, method)
+        loop = [expectation(evolve(rho, spec, UNIT, t, method), a) for t in times]
+        scale = float(np.max(np.abs(a.entries))) * 25
+        assert_allclose(traj.values, loop, rtol=0.0, atol=1e-14 * scale)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            expectation_trajectory(make_density_from_pure([1.0, 1.0]), Observable(np.eye(3)),
+                                   EnergySpectrum([0.0, 1.0]), UNIT, [1.0],
+                                   EvolutionMethod.closed_form())
 
     def test_two_level_coherence_decay(self):
         # <sigma_x>(t) = exp(-gamma t) cos(nu t) for the equal superposition

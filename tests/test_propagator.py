@@ -1,6 +1,10 @@
 import cmath
+import importlib
+import importlib.util
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,13 +32,119 @@ from cronon import (
     validate_density,
 )
 from cronon.checks import random_density, random_spectrum
+from cronon.core import DensityMatrix
 
 UNIT = KernelParams(tau1=1.0, tau2=1.0)
 THREE_LEVEL = EnergySpectrum([0.0, 0.7, 1.9])
+EPS = np.finfo(float).eps
+ANALYTIC = ("unitary", "closed_form", "finite_difference", "second_order", "milburn")
 
 
 def three_level_state():
     return make_density_from_pure([1.0, 1.0 + 0.5j, 0.3])
+
+
+def reference_factor(kind, omega, params, t):
+    """One coherence multiplier with scalar complex arithmetic."""
+    x = omega * params.tau1
+    if kind == "unitary":
+        return cmath.exp(-1j * omega * t)
+    if kind == "closed_form":
+        return cmath.exp(-(t / params.tau2) * cmath.log(1.0 + 1j * x))
+    if kind == "finite_difference":
+        return (1.0 / (1.0 + 1j * x)) ** round(t / params.tau2)
+    if kind == "second_order":
+        return cmath.exp((-1j * x - 0.5 * x * x) * t / params.tau2)
+    if kind == "milburn":
+        return cmath.exp((t / params.tau2) * (cmath.exp(-1j * x) - 1.0))
+    raise ValueError(kind)
+
+
+def reference_evolve(rho, spectrum, params, t, kind):
+    """The per-pair loop: each n < m gets its factor, (m, n) the conjugate."""
+    omega = bohr_frequencies(spectrum).omega
+    factors = np.ones(omega.shape, dtype=complex)
+    for n in range(spectrum.dim):
+        for m in range(n + 1, spectrum.dim):
+            if omega[n, m] != 0.0 and t != 0.0:
+                f = reference_factor(kind, omega[n, m], params, t)
+                factors[n, m] = f
+                factors[m, n] = f.conjugate()
+    return rho.entries * factors
+
+
+class TestFactorTable:
+    @pytest.mark.parametrize("kind", ANALYTIC)
+    def test_evolve_matches_per_pair_loop(self, kind):
+        # float64 rounding of a phase that grows like t/tau2 bounds the
+        # difference; populations and hermiticity stay exact
+        rng = np.random.Generator(np.random.PCG64(2024))
+        method = EvolutionMethod.parse(kind)
+        for _ in range(100):
+            dim = int(rng.integers(2, 9))
+            m = random_density(rng, dim).entries
+            rho = DensityMatrix((m + m.conj().T) / 2.0)  # exactly Hermitian
+            energies = rng.uniform(-2.0, 2.0, size=dim)
+            energies[-1] = energies[0]  # one degenerate pair
+            spectrum = EnergySpectrum(energies)
+            params = KernelParams(tau1=float(rng.uniform(0.2, 2.0)),
+                                  tau2=float(rng.uniform(0.2, 2.0)))
+            k = float(rng.integers(0, 200) if kind == "finite_difference"
+                      else rng.uniform(0.0, 200.0))
+            t = k * params.tau2
+            out = evolve(rho, spectrum, params, t, method).entries
+            want = reference_evolve(rho, spectrum, params, t, kind)
+            assert float(np.max(np.abs(out - want))) <= 1e-15 * (1.0 + k)
+            assert np.array_equal(np.diag(out), np.diag(rho.entries))
+            assert np.array_equal(out, out.conj().T)
+
+    def test_closed_form_against_mpmath(self):
+        # relative error within 4 eps times the condition number
+        # 1 + (t/tau2) |Log(1 + i w tau1)| of the exponent
+        mpmath.mp.dps = 40
+        for params in (UNIT, KernelParams(tau1=0.3, tau2=2.5)):
+            for x in np.logspace(-9.0, 9.0, 19):
+                for k in np.logspace(-6.0, 3.0, 10):
+                    w, t = x / params.tau1, k * params.tau2
+                    log_step = mpmath.log(1 + 1j * (mpmath.mpf(w) * params.tau1))
+                    k_mp = mpmath.mpf(t) / params.tau2
+                    want = complex(mpmath.exp(-k_mp * log_step))
+                    cond = 1.0 + float(k_mp * abs(log_step))
+                    got = propagator_factor(w, params, t)
+                    assert abs(got - want) <= 4.0 * EPS * cond * abs(want) + 1e-300, (x, k)
+
+    @pytest.mark.parametrize("method, target", [
+        (EvolutionMethod.quadrature(), "coarse_grain"),
+        (EvolutionMethod.monte_carlo(seed=3, count=200), "monte_carlo_factor"),
+    ])
+    def test_oracles_evaluate_each_distinct_frequency_once(self, monkeypatch, method, target):
+        from cronon import propagator
+
+        calls = []
+        original = getattr(propagator, target)
+        monkeypatch.setattr(propagator, target,
+                            lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        ladder = EnergySpectrum(np.arange(6.0))
+        rho = random_density(np.random.Generator(np.random.PCG64(8)), 6)
+        evolve(rho, ladder, KernelParams(tau1=0.2, tau2=1.0), 1.5, method)
+        assert len(calls) == 5  # 15 pairs, 5 distinct frequencies
+
+    def test_bench_tracer_targets_resolve(self):
+        # the benchmark's tracer wraps these (module, attribute) pairs by name
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module, attr, _ in tracer.PACKAGE_TARGETS + tracer.CLI_TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+    def test_bad_times_rejected(self, t):
+        for method in (EvolutionMethod.closed_form(), EvolutionMethod.finite_difference()):
+            with pytest.raises(InvalidInputError, match="finite and non-negative"):
+                evolve(three_level_state(), THREE_LEVEL, UNIT, t, method)
+        with pytest.raises(InvalidInputError, match="finite and non-negative"):
+            propagator_factor(1.0, UNIT, t)
 
 
 class TestStepFactor:
@@ -287,6 +397,17 @@ class TestQuadratureFactor:
                 cf = propagator_factor(wt1, UNIT, k)
                 qf = quadrature_factor(wt1, UNIT, k, tol=1e-10)
                 assert abs(cf - qf) <= 1e-8
+
+
+    @pytest.mark.parametrize("k, wt1", [
+        (1.5266281613085082, 3.6243680629129122),
+        (1.3350533274088794, 6.191142588573484),
+        (1.4232100684548297, 4.229281683880531),
+    ])
+    def test_converges_where_extrapolation_reported_roundoff(self, k, wt1):
+        # shapes 1 < k < 2: the kernel's derivative is singular at t' = 0
+        qf = quadrature_factor(wt1, UNIT, k, tol=1e-10)
+        assert abs(qf - propagator_factor(wt1, UNIT, k)) <= 1e-8
 
 
 class TestEvolutionMethodParsing:
