@@ -22,11 +22,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import io as qio
 from .checks import run_all_checks
-from .core import validate_density
+from .core import density_deviations, validate_density, violation_report
 from .errors import (
     CrononError,
     InvalidInputError,
@@ -34,14 +33,17 @@ from .errors import (
     ModelMismatchError,
     NumericFailureError,
 )
-from .kernel import KernelParams, gamma_pdf, kernel_moments
-from .propagator import (
+from .kernel import KernelParams, gamma_pdf, kernel_moments, tail_cutoff
+# evolve stays importable from here: bench/tracer.py wraps cronon.cli.evolve
+from .propagator import (  # noqa: F401
     EvolutionMethod,
     Method,
     decoherence_rates,
     evolve,
+    evolve_many,
     milburn_frozen_frequencies,
     propagator_factor,
+    time_slices,
 )
 from .scenarios import (
     CatParams,
@@ -74,8 +76,9 @@ def _write_text(text: str, out_path):
 
 
 def _csv(header, rows) -> str:
+    """One line per row; repr of each float, the bytes of _fmt."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -114,10 +117,13 @@ def _parse_times(spec, tau2: float, grid_units: bool):
         if isinstance(spec, str):
             values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
         elif isinstance(spec, dict):
-            values = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
+            num = int(spec["num"])
+            if num > SWEEP_CELL_LIMIT:
+                raise ValueError(f"num must be at most {SWEEP_CELL_LIMIT}")
+            values = np.linspace(float(spec["start"]), float(spec["stop"]), num).tolist()
         else:
             values = [float(v) for v in np.atleast_1d(spec)]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed times {spec!r}: {exc}")
     if not values:
         raise InvalidInputError("empty time list")
@@ -132,9 +138,19 @@ def _require(cfg: dict, *names):
         raise InvalidInputError(f"missing required parameter(s): {', '.join(missing)}")
 
 
+def _num(cfg: dict, key: str, default=None, kind=float):
+    """cfg[key], or default, coerced by kind; InvalidInputError names the key."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+        expected = "an integer" if kind is int else "a number"
+        raise InvalidInputError(f"{key} must be {expected}, got {value!r}") from None
+
+
 def _kernel_params(cfg) -> KernelParams:
     _require(cfg, "tau1", "tau2")
-    return KernelParams(tau1=float(cfg["tau1"]), tau2=float(cfg["tau2"]))
+    return KernelParams(tau1=_num(cfg, "tau1"), tau2=_num(cfg, "tau2"))
 
 
 # ---------------------------------------------------------------- kernel
@@ -143,21 +159,20 @@ def cmd_kernel(args) -> int:
     cfg = _merge(args, {"t": 1.0, "grid_points": 1024, "format": "csv"},
                  ("tau1", "tau2", "t", "grid_points", "out", "format"))
     params = _kernel_params(cfg)
-    t = float(cfg["t"])
-    n = int(cfg["grid_points"])
+    t = _num(cfg, "t")
+    n = _num(cfg, "grid_points", kind=int)
     if n < 2:
         raise InvalidInputError("grid_points must be >= 2")
-    # Cover all but 1e-7 of the kernel mass (comfortably over the 1-1e-6 contract).
-    hi = params.tau1 * float(special.gammainccinv(params.shape(t), 1e-7))
-    grid = np.linspace(0.0, hi, n)
-    pdf = gamma_pdf(params, t, grid)
     moments = asdict(kernel_moments(params, t))
+    # Cover all but 1e-7 of the kernel mass (comfortably over the 1-1e-6 contract).
+    grid = np.linspace(0.0, tail_cutoff(params, t, 1e-7), n)
+    pdf = gamma_pdf(params, t, grid)
 
     if cfg["format"] == "json":
         doc = {"t_prime": grid.tolist(), "pdf": pdf.tolist(), "moments": moments}
         _write_text(_json_text(doc), cfg.get("out"))
         return 0
-    csv_text = _csv(("t_prime", "pdf"), zip(grid, pdf))
+    csv_text = _csv(("t_prime", "pdf"), np.column_stack((grid, pdf)))
     moments_text = _json_text(moments)
     if cfg.get("out"):
         _write_text(csv_text, cfg["out"])
@@ -173,10 +188,25 @@ def cmd_kernel(args) -> int:
 def _method_from_cfg(cfg) -> EvolutionMethod:
     return EvolutionMethod.parse(
         str(cfg.get("method", "closed_form")),
-        seed=int(cfg.get("seed", 0)),
-        count=int(cfg.get("samples", 100_000)),
-        tol=float(cfg.get("tol", 1e-10)),
+        seed=_num(cfg, "seed", 0, int),
+        count=_num(cfg, "samples", 100_000, int),
+        tol=_num(cfg, "tol", 1e-10),
     )
+
+
+def _check_evolved(states, times, tol: float):
+    """Raise InvariantViolationError naming the first time whose state
+    violates an invariant at tol."""
+    herm, tr_dev, lo = density_deviations(states)
+    bad = np.flatnonzero((herm > tol) | (tr_dev > tol) | (lo < -tol))
+    if bad.size:
+        i = bad[0]
+        report = violation_report(float(herm[i]), float(tr_dev[i]), float(lo[i]), tol)
+        raise InvariantViolationError(
+            f"evolved state at t={times[i]!r} violates invariants: "
+            + "; ".join(str(v) for v in report),
+            report=report,
+        )
 
 
 def cmd_evolve(args) -> int:
@@ -201,30 +231,19 @@ def cmd_evolve(args) -> int:
     out_tol = 1e-6 if method.kind is Method.MONTE_CARLO else 1e-9
 
     dim = rho0.dim
-    header = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-
-    rows = []
-    states = []
-    for t in times:
-        rho = evolve(rho0, spectrum, params, t, method)
-        bad = validate_density(rho, tol=out_tol)
-        if bad:
-            raise InvariantViolationError(
-                f"evolved state at t={t!r} violates invariants: "
-                + "; ".join(str(v) for v in bad),
-                report=bad,
-            )
-        flat = rho.entries.reshape(-1)
-        rows.append([t] + [part for z in flat for part in (z.real, z.imag)])
-        states.append({"re": rho.entries.real.tolist(), "im": rho.entries.imag.tolist()})
+    states = evolve_many(rho0, spectrum, params, times, method)
+    for part in time_slices(len(times), dim * dim):
+        _check_evolved(states[part], times[part], out_tol)
 
     if cfg["format"] == "json":
-        _write_text(_json_text({"times": times, "dim": dim, "states": states}),
-                    cfg.get("out"))
+        doc = {"times": times, "dim": dim,
+               "states": [{"re": re, "im": im}
+                          for re, im in zip(states.real.tolist(), states.imag.tolist())]}
+        _write_text(_json_text(doc), cfg.get("out"))
     else:
+        header = ["t"] + [f"{part}_{i}_{j}" for i in range(dim) for j in range(dim)
+                          for part in ("re", "im")]
+        rows = np.column_stack((times, states.reshape(len(times), -1).view(float)))
         _write_text(_csv(header, rows), cfg.get("out"))
     return 0
 
@@ -245,8 +264,8 @@ def _scenario_out(csv_text: str, summary: dict, out_path):
 def _scenario_osc(cfg) -> tuple[str, dict]:
     kernel = _kernel_params(cfg)
     params = OscillatorParams(
-        omega=float(cfg.get("omega", 1.0)),
-        a0=complex(float(cfg.get("a0_re", 1.0)), float(cfg.get("a0_im", 0.0))),
+        omega=_num(cfg, "omega", 1.0),
+        a0=complex(_num(cfg, "a0_re", 1.0), _num(cfg, "a0_im", 0.0)),
         kernel=kernel,
     )
     gamma, nu = map(float, decoherence_rates(params.omega, kernel))
@@ -268,14 +287,14 @@ def _scenario_osc(cfg) -> tuple[str, dict]:
 
 def _cat_params(cfg) -> CatParams:
     _require(cfg, "mass", "sigma_x", "separation_d")
-    mass = float(cfg["mass"])
-    sigma_x = float(cfg["sigma_x"])
-    hbar = float(cfg.get("hbar", 1.0))
-    sigma_v = float(cfg.get("sigma_v", hbar / (2.0 * mass * sigma_x)))
-    energy = float(cfg.get("energy", 0.5 * mass * sigma_v**2))
+    mass = _num(cfg, "mass")
+    sigma_x = _num(cfg, "sigma_x")
+    hbar = _num(cfg, "hbar", 1.0)
+    sigma_v = _num(cfg, "sigma_v", hbar / (2.0 * mass * sigma_x))
+    energy = _num(cfg, "energy", 0.5 * mass * sigma_v**2)
     return CatParams(
         mass=mass, sigma_x=sigma_x, sigma_v=sigma_v,
-        separation_d=float(cfg["separation_d"]), energy=energy,
+        separation_d=_num(cfg, "separation_d"), energy=energy,
         kernel=_kernel_params(cfg), hbar=hbar,
     )
 
@@ -289,15 +308,15 @@ def _scenario_cat(cfg) -> tuple[str, dict]:
     times = _parse_times(cfg.get("times", [0.0, t_dec, 2.0 * t_dec]),
                          kernel.tau2, bool(cfg.get("grid_units", False)))
     span = params.separation_d / 2.0 + 8.0 * params.sigma_x
-    grid = np.linspace(-span, span, int(cfg.get("grid_points", 2001)))
-    rows = []
+    grid = np.linspace(-span, span, _num(cfg, "grid_points", 2001, int))
+    blocks = []
     visibility = {}
     mass = {}
     for t in times:
         result = cat_interference(params, t, grid)
         visibility[_fmt(t)] = result.visibility
         mass[_fmt(t)] = result.mass
-        rows.extend((t, x, p) for x, p in zip(grid, result.p_bar))
+        blocks.append(np.column_stack((np.full(grid.size, t), grid, result.p_bar)))
     summary = {
         "omega_if": omega_if,
         "gamma": gamma,
@@ -306,13 +325,13 @@ def _scenario_cat(cfg) -> tuple[str, dict]:
         "density_mass": mass,
         "min_uncertainty_advisory": params.min_uncertainty_advisory,
     }
-    return _csv(("t", "x", "p_bar"), rows), summary
+    return _csv(("t", "x", "p_bar"), np.concatenate(blocks)), summary
 
 
 def _scenario_rabi(cfg) -> tuple[str, dict]:
     kernel = _kernel_params(cfg)
-    params = RabiParams(g=float(cfg.get("g", 1.0)),
-                        n_photons=int(cfg.get("n_photons", 0)), kernel=kernel)
+    params = RabiParams(g=_num(cfg, "g", 1.0),
+                        n_photons=_num(cfg, "n_photons", 0, int), kernel=kernel)
     omega = params.rabi_frequency
     period = 2.0 * math.pi / omega
     times = _parse_times(cfg.get("times", {"start": 0.0, "stop": 10.0 * period, "num": 2001}),
@@ -335,9 +354,9 @@ def _scenario_rabi(cfg) -> tuple[str, dict]:
 def _scenario_epr(cfg) -> tuple[str, dict]:
     kernel = _kernel_params(cfg)
     params = EprParams(
-        omega0=float(cfg.get("omega0", 1.0)),
-        flight_length=float(cfg.get("flight_length", 1.0)),
-        speed=float(cfg.get("speed", 1.0)),
+        omega0=_num(cfg, "omega0", 1.0),
+        flight_length=_num(cfg, "flight_length", 1.0),
+        speed=_num(cfg, "speed", 1.0),
         kernel=kernel,
     )
     times = _parse_times(cfg.get("times", {"start": 0.0, "stop": params.flight_time, "num": 101}),
@@ -390,8 +409,9 @@ def cmd_scenario(args) -> int:
 def cmd_check(args) -> int:
     cfg = _merge(args, {"seed": 20240601, "instances": 100, "states": 200},
                  ("seed", "instances", "states", "out"))
-    report = run_all_checks(seed=int(cfg["seed"]), instances=int(cfg["instances"]),
-                            states=int(cfg["states"]))
+    report = run_all_checks(seed=_num(cfg, "seed", kind=int),
+                            instances=_num(cfg, "instances", kind=int),
+                            states=_num(cfg, "states", kind=int))
     _write_text(_json_text(report.to_json_dict()), cfg.get("out"))
     return 3 if report.violations else 0
 
@@ -401,20 +421,21 @@ def cmd_check(args) -> int:
 def _axis_values(axis: dict):
     values = axis.get("values")
     if isinstance(values, dict):
-        n = int(values["num"])
+        n = _num(values, "num", kind=int)
         if n < 1:
             raise InvalidInputError("axis num must be >= 1")
-        return n, lambda: np.linspace(float(values["start"]), float(values["stop"]), n).tolist()
+        return n, lambda: np.linspace(_num(values, "start"), _num(values, "stop"), n).tolist()
     if not isinstance(values, (list, tuple)) or not values:
         raise InvalidInputError(f"axis {axis.get('name')!r} needs a non-empty values list")
-    return len(values), lambda: list(values)
+    name = str(axis["name"])
+    return len(values), lambda: [_num({name: v}, name) for v in values]
 
 
 def _sweep_reduction(target: str, reduction: str, cell: dict) -> float:
     kernel = _kernel_params(cell)
     if target == "rabi":
-        params = RabiParams(g=float(cell.get("g", 1.0)),
-                            n_photons=int(cell.get("n_photons", 0)), kernel=kernel)
+        params = RabiParams(g=_num(cell, "g", 1.0),
+                            n_photons=_num(cell, "n_photons", 0, int), kernel=kernel)
         if reduction == "gamma":
             return rabi_damping_rate(params)
         if reduction == "fitted_gamma":
@@ -423,23 +444,23 @@ def _sweep_reduction(target: str, reduction: str, cell: dict) -> float:
             traj = rabi_population(params, times)
             return fit_envelope_rate(traj.times, traj.values)
     elif target == "oscillator":
-        omega = float(cell.get("omega", 1.0))
+        omega = _num(cell, "omega", 1.0)
         if reduction == "gamma":
             return decay_rate(omega, kernel)
         if reduction == "modulus_at_t":
-            return abs(propagator_factor(omega, kernel, float(cell["t"])))
+            return abs(propagator_factor(omega, kernel, _num(cell, "t")))
     elif target == "cat":
         params = _cat_params(cell)
         gamma = decay_rate(interference_frequency(params), kernel)
         if reduction == "gamma":
             return gamma
         if reduction == "visibility_at_t":
-            return math.exp(-gamma * float(cell["t"]))
+            return math.exp(-gamma * _num(cell, "t"))
         if reduction == "t_decoherence":
             return math.inf if gamma == 0 else 1.0 / gamma
     elif target == "factor":
         if reduction == "modulus_at_t":
-            return abs(propagator_factor(float(cell["omega"]), kernel, float(cell["t"])))
+            return abs(propagator_factor(_num(cell, "omega"), kernel, _num(cell, "t")))
     raise InvalidInputError(f"unsupported sweep target/reduction: {target}/{reduction}")
 
 

@@ -25,6 +25,8 @@ __all__ = [
     "Observable",
     "InvariantViolation",
     "make_density_from_pure",
+    "density_deviations",
+    "violation_report",
     "validate_density",
     "expectation",
     "variance",
@@ -163,6 +165,34 @@ def make_density_from_pure(amplitudes) -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()))
 
 
+def density_deviations(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(max |rho - rho^dagger|, |Tr(rho) - 1|, min eigenvalue) of every
+    matrix in a stack of shape (..., d, d), each of the stack's shape.
+
+    The eigenvalues are those of the Hermitian part, so positivity is
+    still reported for states that also fail hermiticity.
+    """
+    m = np.asarray(states)
+    m_dag = np.swapaxes(m, -1, -2).conj()
+    herm = np.max(np.abs(m - m_dag), axis=(-2, -1))
+    tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    lo = np.min(np.linalg.eigvalsh((m + m_dag) / 2.0), axis=-1)
+    return herm, tr_dev, lo
+
+
+def violation_report(herm: float, tr_dev: float, lo: float,
+                     tol: float) -> list[InvariantViolation]:
+    """The invariants that the deviations of one state violate at `tol`."""
+    report = []
+    if herm > tol:
+        report.append(InvariantViolation("hermiticity", herm, "max |rho - rho^dagger|"))
+    if tr_dev > tol:
+        report.append(InvariantViolation("trace", tr_dev, "|Tr(rho) - 1|"))
+    if lo < -tol:
+        report.append(InvariantViolation("positivity", -lo, f"min eigenvalue {lo:.6e}"))
+    return report
+
+
 def validate_density(rho: DensityMatrix, tol: float = 1e-10) -> list[InvariantViolation]:
     """Check hermiticity, unit trace and positivity at tolerance `tol`.
 
@@ -172,20 +202,7 @@ def validate_density(rho: DensityMatrix, tol: float = 1e-10) -> list[InvariantVi
     """
     if not (tol > 0):
         raise InvalidInputError("tol must be positive")
-    m = rho.entries
-    report = []
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > tol:
-        report.append(InvariantViolation("hermiticity", herm, "max |rho - rho^dagger|"))
-    tr_dev = abs(complex(np.trace(m)) - 1.0)
-    if tr_dev > tol:
-        report.append(InvariantViolation("trace", tr_dev, "|Tr(rho) - 1|"))
-    # Positivity is judged on the Hermitian part so a report is still
-    # produced for states that also fail hermiticity.
-    lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-    if lo < -tol:
-        report.append(InvariantViolation("positivity", -lo, f"min eigenvalue {lo:.6e}"))
-    return report
+    return violation_report(*map(float, density_deviations(rho.entries)), tol)
 
 
 def _check_dims(rho: DensityMatrix, a: Observable):

@@ -22,6 +22,10 @@ to a requested absolute tolerance. For shape k < 1 the kernel has an
 integrable singularity at t' = 0, and for k < 2 a singular derivative
 there; both are handled by QUADPACK's algebraic-weight rule rather than
 by sampling the raw integrand.
+
+scipy is imported inside coarse_grain and poisson_pmf, the only callers
+of QUADPACK and scipy.special, so importing the package does not pay
+for it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import InvalidInputError, NumericFailureError
 
@@ -43,6 +46,7 @@ __all__ = [
     "gamma_pdf",
     "kernel_moments",
     "poisson_pmf",
+    "tail_cutoff",
     "sample_effective_time",
     "coarse_grain",
 ]
@@ -105,9 +109,14 @@ class SampleSet:
         object.__setattr__(self, "values", arr)
 
 
-def _check_t(t: float):
+def _shape(params: KernelParams, t: float) -> float:
+    """The shape k = t/tau2 of a positive, finite t (k must not underflow)."""
     if not (np.isfinite(t) and t > 0):
         raise InvalidInputError(f"t must be positive, got {t}")
+    k = params.shape(t)
+    if k == 0.0:
+        raise InvalidInputError(f"t/tau2 underflows to 0 at t={t!r}, tau2={params.tau2!r}")
+    return k
 
 
 def gamma_pdf(params: KernelParams, t: float, tprime):
@@ -117,14 +126,13 @@ def gamma_pdf(params: KernelParams, t: float, tprime):
     large shapes do not overflow. At t' = 0 the density is +inf for
     shape < 1 (integrable singularity), 1/tau1 at shape 1, and 0 above.
     """
-    _check_t(t)
+    k = _shape(params, t)
     tp = np.asarray(tprime, dtype=float)
     if np.any(tp < 0) or not np.all(np.isfinite(tp)):
         raise InvalidInputError("tprime must be finite and non-negative")
-    k = params.shape(t)
     lam = tp / params.tau1
     with np.errstate(divide="ignore", invalid="ignore"):
-        logpdf = -lam + (k - 1.0) * np.log(lam) - special.gammaln(k) - math.log(params.tau1)
+        logpdf = -lam + (k - 1.0) * np.log(lam) - math.lgamma(k) - math.log(params.tau1)
         pdf = np.exp(logpdf)
     if k < 1.0:
         pdf = np.where(lam == 0.0, np.inf, pdf)
@@ -137,8 +145,7 @@ def gamma_pdf(params: KernelParams, t: float, tprime):
 
 def kernel_moments(params: KernelParams, t: float) -> KernelMoments:
     """Closed-form mean and dispersion of the effective evolution time."""
-    _check_t(t)
-    k = params.shape(t)
+    k = _shape(params, t)
     mean = k * params.tau1
     sigma = params.tau1 * math.sqrt(k)
     return KernelMoments(mean=mean, sigma=sigma, relative_dispersion=1.0 / math.sqrt(k))
@@ -146,14 +153,38 @@ def kernel_moments(params: KernelParams, t: float) -> KernelMoments:
 
 def poisson_pmf(params: KernelParams, t: float, n):
     """Probability of n elementary evolution events by laboratory time t."""
-    _check_t(t)
+    from scipy import special
+
+    mu = _shape(params, t)
     narr = np.asarray(n)
     if np.any(narr < 0) or not np.issubdtype(narr.dtype, np.integer):
         raise InvalidInputError("n must be a non-negative integer")
-    mu = params.shape(t)
     logpmf = narr * math.log(mu) - mu - special.gammaln(narr + 1.0)
     pmf = np.exp(logpmf)
     return float(pmf) if np.isscalar(n) else pmf
+
+
+def tail_cutoff(params: KernelParams, t: float, tail: float) -> float:
+    """An effective time t' beyond which the kernel carries mass <= tail.
+
+    Uses the Chernoff bound on the Gamma(k) tail, P(lam >= k r) <=
+    (r e^(1-r))^k for r > 1, and solves k (r - 1 - ln r) = ln(1/tail) for
+    u = r - 1 by Newton's method. The equation is convex and increasing
+    in u, and the start u0 = c + sqrt(c^2 + 2c), c = ln(1/tail)/k, lies
+    above its root (u - ln(1 + u) >= u^2 / (2 (1 + u))), so every
+    iterate stays on the safe side of the root, up to rounding.
+    """
+    k = _shape(params, t)
+    if not (0.0 < tail < 1.0):
+        raise InvalidInputError(f"tail must be in (0, 1), got {tail!r}")
+    c = -math.log(tail) / k
+    u = c + math.sqrt(c) * math.sqrt(c + 2.0)
+    for _ in range(100):
+        step = (u - math.log1p(u) - c) * (1.0 + u) / u
+        u -= step
+        if step <= 1e-13 * u:
+            break
+    return params.tau1 * k * (1.0 + u)
 
 
 def sample_effective_time(
@@ -165,11 +196,11 @@ def sample_effective_time(
     boost) on a PCG64 stream, so runs are bit-reproducible for a given
     (params, t, seed, count) on a fixed numpy version.
     """
-    _check_t(t)
+    k = _shape(params, t)
     if count < 1:
         raise InvalidInputError(f"count must be >= 1, got {count}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    values = rng.gamma(shape=params.shape(t), scale=params.tau1, size=count)
+    values = rng.gamma(shape=k, scale=params.tau1, size=count)
     return SampleSet(values=values, seed=seed, count=count)
 
 
@@ -190,10 +221,11 @@ def coarse_grain(
     achieved estimate when the budget of QUAD_SUBINTERVAL_LIMIT
     subintervals is not enough.
     """
-    _check_t(t)
+    from scipy import special
+
+    k = _shape(params, t)
     if not (tol > 0):
         raise InvalidInputError("tol must be positive")
-    k = params.shape(t)
     tau1 = params.tau1
 
     # Work in lam = t'/tau1 where the weight is the standard Gamma(k)
@@ -236,6 +268,8 @@ def coarse_grain(
 
 
 def _quad_checked(func, a, b, epsabs, **kwargs):
+    from scipy import integrate
+
     result = integrate.quad(
         func, a, b, epsabs=epsabs, epsrel=0.0,
         limit=QUAD_SUBINTERVAL_LIMIT, full_output=1, **kwargs

@@ -31,11 +31,7 @@ from .core import DensityMatrix, EnergySpectrum, Observable, expectation, varian
 from .core import _real_trace, bohr_frequencies, hamiltonian_observable
 from .errors import DegenerateInputError, DimensionMismatchError, InvalidInputError
 from .kernel import KernelParams
-from .propagator import EvolutionMethod, coherence_factors, evolve
-
-#: Multipliers expectation_trajectory holds at once (4 MB of complex): its
-#: time chunks bound memory at any dimension.
-_CHUNK = 2**18
+from .propagator import EvolutionMethod, coherence_factors, evolve, time_slices
 
 __all__ = [
     "Trajectory",
@@ -96,9 +92,9 @@ def expectation_trajectory(
     times = np.asarray(times, dtype=float)
     omega = bohr_frequencies(spectrum).omega
     p = rho0.entries * a.entries.T
-    chunks = np.array_split(times, max(1, times.size * omega.size // _CHUNK))
-    values = np.concatenate([np.einsum("tij,ij->t", coherence_factors(omega, params, c, method), p)
-                             for c in chunks])
+    values = np.concatenate([
+        np.einsum("tij,ij->t", coherence_factors(omega, params, times[part], method), p)
+        for part in time_slices(times.size, omega.size)])
     return Trajectory(times=times, values=_real_trace(values, a), method=method)
 
 

@@ -349,3 +349,170 @@ class TestSweepCommand:
         assert [(r[0], r[1]) for r in rows] == [
             (1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0)
         ]
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestNonNumericConfigExit2:
+    """A config value that is not a number exits 2 and names its key."""
+
+    def test_kernel_params(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"tau1": "abc", "tau2": 1})
+        assert main(["kernel", "--config", cfg]) == 2
+        assert "tau1" in capsys.readouterr().err
+
+    def test_method_options(self, three_level_files, tmp_path, capsys):
+        spectrum, state = three_level_files
+        cfg = write_json(tmp_path / "cfg.json", {
+            "spectrum": spectrum, "rho0": state, "tau1": 1, "tau2": 1, "times": "1",
+            "method": "monte_carlo", "samples": "lots"})
+        assert main(["evolve", "--config", cfg]) == 2
+        assert "samples" in capsys.readouterr().err
+
+    def test_sweep_cell_value(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "target": "rabi", "reduction": "gamma",
+            "base": {"g": 1.0, "tau1": 0.2, "tau2": 1.0},
+            "axes": [{"name": "n_photons", "values": [0, "x"]}]})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "n_photons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_points", ["many", math.inf])
+    def test_grid_points(self, tmp_path, capsys, grid_points):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "mass": 1.0, "sigma_x": 1.0, "separation_d": 12.0,
+            "tau1": 0.01, "tau2": 0.01, "grid_points": grid_points})
+        assert main(["scenario", "cat", "--config", cfg]) == 2
+        assert "grid_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num, message", [
+    (1e9, "num must be at most 1000000"),
+    (math.inf, "cannot convert float infinity"),
+])
+def test_time_count_above_cap_exit_2(three_level_files, tmp_path, capsys, num, message):
+    # refused before anything is allocated; only refused counts are run
+    spectrum, state = three_level_files
+    cfg = write_json(tmp_path / "cfg.json", {
+        "spectrum": spectrum, "rho0": state, "tau1": 1, "tau2": 1,
+        "times": {"start": 0, "stop": 1, "num": num}})
+    assert main(["evolve", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def reference_evolve_outputs(rho0, spectrum, params, times, method):
+    """CSV and JSON of `evolve` over `times` by a per-time loop."""
+    from cronon import evolve
+
+    dim = rho0.dim
+    header = ["t"]
+    for i in range(dim):
+        for j in range(dim):
+            header += [f"re_{i}_{j}", f"im_{i}_{j}"]
+    lines = [",".join(header)]
+    states = []
+    for t in times:
+        rho = evolve(rho0, spectrum, params, t, method)
+        flat = rho.entries.reshape(-1)
+        row = [t] + [part for z in flat for part in (z.real, z.imag)]
+        lines.append(",".join(repr(float(v)) for v in row))
+        states.append({"re": rho.entries.real.tolist(), "im": rho.entries.imag.tolist()})
+    doc = {"times": times, "dim": dim, "states": states}
+    return "\n".join(lines) + "\n", json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestEvolveOutputsMatchPerTimeLoop:
+    @pytest.mark.parametrize("method, times", [
+        ("unitary", "0,0.3,1.1,2.5,4,7.25,9.5"),
+        ("closed_form", "0,0.3,1.1,2.5,4,7.25,9.5"),
+        ("finite_difference", "0,1.1,2.2,3.3000000000000003,8.8"),
+        ("second_order", "0,0.3,1.1,2.5,4,7.25,9.5"),
+        ("milburn", "0,0.3,1.1,2.5,4,7.25,9.5"),
+        ("quadrature", "0,0.7,2.5"),
+        ("monte_carlo", "0,0.7,2.5"),
+    ])
+    @pytest.mark.parametrize("chunk", [2**18, 20])  # one time chunk, and several
+    def test_csv_and_json_byte_identical(self, three_level_files, tmp_path, monkeypatch,
+                                         method, times, chunk):
+        from cronon import EvolutionMethod, KernelParams, load_spectrum, load_state
+
+        monkeypatch.setattr("cronon.propagator._CHUNK", chunk)
+        spectrum, state = three_level_files
+        args = ["evolve", "--spectrum", spectrum, "--rho0", state, "--tau1", "0.8",
+                "--tau2", "1.1", "--times", times, "--method", method,
+                "--seed", "5", "--samples", "3000"]
+        got = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            assert main([*args, "--format", fmt, "--out", str(out)]) == 0
+            got[fmt] = out.read_text()
+        want = reference_evolve_outputs(
+            load_state(state), load_spectrum(spectrum), KernelParams(0.8, 1.1),
+            [float(v) for v in times.split(",")],
+            EvolutionMethod.parse(method, seed=5, count=3000))
+        assert (got["csv"], got["json"]) == want
+
+    def test_non_psd_factor_exit_3_names_first_bad_time(self, three_level_files, monkeypatch,
+                                                        capsys):
+        from cronon.propagator import FACTORS, Method
+
+        def inflated(w, params, t, method):  # |F| = 3 from t = 1.5 on: not PSD
+            return np.where(t >= 1.5, 3.0, 1.0) * np.exp(-1j * w * t)
+
+        monkeypatch.setitem(FACTORS, Method.CLOSED_FORM, inflated)
+        monkeypatch.setattr("cronon.propagator._CHUNK", 20)  # the bad time is in chunk 2
+        spectrum, state = three_level_files
+        code = main(["evolve", "--spectrum", spectrum, "--rho0", state, "--tau1", "1",
+                     "--tau2", "1", "--times", "0,0.5,1,2,3,4"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "t=2.0" in err and "positivity" in err
+
+
+def test_closed_form_commands_never_import_scipy(tmp_path):
+    # one fresh interpreter: every command but `check` runs without scipy
+    script = """
+import json, sys
+from pathlib import Path
+import cronon
+from cronon import EnergySpectrum, make_density_from_pure, save_spectrum, save_state
+from cronon.cli import main
+
+d = Path(sys.argv[1])
+save_spectrum(EnergySpectrum([0.0, 0.7, 1.9]), d / "s.json")
+save_state(make_density_from_pure([1.0, 1.0 + 0.5j, 0.3]), d / "r.json")
+(d / "cat.json").write_text(json.dumps({"mass": 1.0, "sigma_x": 1.0,
+                                         "separation_d": 12.0, "tau1": 0.01, "tau2": 0.01}))
+(d / "sweep.json").write_text(json.dumps({
+    "target": "factor", "reduction": "modulus_at_t", "base": {"tau1": 0.5, "tau2": 1.0},
+    "axes": [{"name": "omega", "values": [0.5, 1.0]}, {"name": "t", "values": [1.0, 2.0]}]}))
+common = ["--tau1", "0.5", "--tau2", "1"]
+runs = [
+    ["kernel", *common, "--t", "2", "--out", str(d / "k.csv")],
+    ["evolve", *common, "--spectrum", str(d / "s.json"), "--rho0", str(d / "r.json"),
+     "--times", "0,1,2", "--out", str(d / "e.csv")],
+    ["scenario", "osc", *common, "--out", str(d / "osc.csv")],
+    ["scenario", "rabi", *common, "--out", str(d / "rabi.csv")],
+    ["scenario", "epr", *common, "--out", str(d / "epr.csv")],
+    ["scenario", "cat", "--config", str(d / "cat.json"), "--out", str(d / "cat.csv")],
+    ["sweep", "--config", str(d / "sweep.json"), "--out", str(d / "sweep.csv")],
+]
+codes = [main(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+assert "scipy" not in sys.modules, "a closed-form command imported scipy"
+assert main(["check", "--instances", "5", "--states", "5", "--out", str(d / "c.json")]) == 0
+"""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cronon
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cronon.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

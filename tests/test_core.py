@@ -18,7 +18,8 @@ from cronon import (
     validate_density,
     variance,
 )
-from cronon.core import DensityMatrix, hamiltonian_observable
+from cronon.core import DensityMatrix, density_deviations, hamiltonian_observable
+from cronon.core import violation_report
 
 SIGMA_X = Observable([[0, 1], [1, 0]])
 SIGMA_Z = Observable([[1, 0], [0, -1]])
@@ -95,6 +96,14 @@ class TestValidateDensity:
     def test_bad_tol(self):
         with pytest.raises(InvalidInputError):
             validate_density(DensityMatrix(np.eye(2) / 2), tol=0.0)
+
+    def test_stacked_deviations_match_each_state(self):
+        states = [np.eye(2) / 2.0, [[1, 0], [0, 0.1]], [[0.5, 0.6], [0.6, 0.5]],
+                  [[0.5, 0.1], [0.3, 0.5]], random_state(4, 2).entries]
+        herm, tr_dev, lo = density_deviations(np.array(states, dtype=complex))
+        for i, m in enumerate(states):
+            one = violation_report(float(herm[i]), float(tr_dev[i]), float(lo[i]), 1e-10)
+            assert one == validate_density(DensityMatrix(m), tol=1e-10)
 
 
 class TestExpectation:

@@ -17,6 +17,7 @@ from cronon import (
     propagator_factor,
     sample_effective_time,
 )
+from cronon.kernel import tail_cutoff
 
 UNIT = KernelParams(tau1=1.0, tau2=1.0)
 
@@ -130,6 +131,34 @@ class TestPoissonPmf:
     def test_negative_n_rejected(self):
         with pytest.raises(InvalidInputError):
             poisson_pmf(UNIT, 1.0, -1)
+
+
+class TestTailCutoff:
+    @pytest.mark.parametrize("k", [1e-3, 1e-2, 0.3, 1.0, 2.5, 17.0, 300.0, 1e4])
+    @pytest.mark.parametrize("tau1", [0.05, 1.0])
+    def test_leaves_at_most_the_tail_mass(self, k, tau1):
+        # the Chernoff bound is an upper bound: the exact mass beyond the
+        # cutoff must not exceed the requested 1e-7 (fixed beforehand)
+        import mpmath
+
+        params = KernelParams(tau1=tau1, tau2=0.5)
+        cut = tail_cutoff(params, k * 0.5, 1e-7)
+        mass = mpmath.gammainc(k, cut / tau1, mpmath.inf, regularized=True)
+        assert 0.0 < float(mass) <= 1e-7
+
+    def test_kernel_grid_ends_at_cutoff(self, tmp_path):
+        from cronon.cli import main
+
+        out = tmp_path / "kernel.csv"
+        assert main(["kernel", "--tau1", "1.5", "--tau2", "0.5", "--t", "2",
+                     "--out", str(out)]) == 0
+        last = out.read_text().strip().splitlines()[-1]
+        assert float(last.split(",")[0]) == tail_cutoff(KernelParams(1.5, 0.5), 2.0, 1e-7)
+
+    @pytest.mark.parametrize("tail", [0.0, 1.0, float("nan")])
+    def test_tail_must_be_a_probability(self, tail):
+        with pytest.raises(InvalidInputError):
+            tail_cutoff(UNIT, 1.0, tail)
 
 
 class TestSampling:

@@ -76,7 +76,7 @@ class TestExpectationTrajectory:
     def test_matches_per_time_loop(self, method, chunk, monkeypatch):
         # summation order differs from the loop, so the values agree to
         # rounding of a sum of dim^2 terms bounded by |A|
-        monkeypatch.setattr("cronon.observables._CHUNK", chunk)
+        monkeypatch.setattr("cronon.propagator._CHUNK", chunk)
         rng = np.random.Generator(np.random.PCG64(12))
         rho = random_density(rng, 5)
         a = random_observable(rng, 5)

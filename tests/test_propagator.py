@@ -33,6 +33,7 @@ from cronon import (
 )
 from cronon.checks import random_density, random_spectrum
 from cronon.core import DensityMatrix
+from cronon.propagator import evolve_many, time_slices
 
 UNIT = KernelParams(tau1=1.0, tau2=1.0)
 THREE_LEVEL = EnergySpectrum([0.0, 0.7, 1.9])
@@ -327,6 +328,37 @@ class TestEvolve:
         c = evolve(rho, THREE_LEVEL, UNIT, t, EvolutionMethod.closed_form())
         q = evolve(rho, THREE_LEVEL, UNIT, t, EvolutionMethod.quadrature(tol=1e-10))
         assert float(np.max(np.abs(c.entries - q.entries))) <= 1e-8
+
+
+class TestEvolveMany:
+    @pytest.mark.parametrize("method", [
+        EvolutionMethod.unitary(),
+        EvolutionMethod.closed_form(),
+        EvolutionMethod.finite_difference(),
+        EvolutionMethod.second_order(),
+        EvolutionMethod.milburn(),
+        EvolutionMethod.quadrature(),
+        EvolutionMethod.monte_carlo(seed=5, count=300),
+    ])
+    @pytest.mark.parametrize("chunk", [2**18, 40])  # one time chunk, and several
+    def test_bitwise_equal_to_evolve(self, method, chunk, monkeypatch):
+        monkeypatch.setattr("cronon.propagator._CHUNK", chunk)
+        rng = np.random.Generator(np.random.PCG64(31))
+        rho = random_density(rng, 4)
+        spec = random_spectrum(rng, 4)
+        times = [0.0, 1.0, 3.0, 4.0, 6.0, 2.0, 9.0]
+        states = evolve_many(rho, spec, UNIT, times, method)
+        assert states.shape == (len(times), 4, 4)
+        for t, state in zip(times, states):
+            assert np.array_equal(state, evolve(rho, spec, UNIT, t, method).entries)
+
+    def test_time_slices_are_array_split_chunks(self, monkeypatch):
+        monkeypatch.setattr("cronon.propagator._CHUNK", 100)
+        for n, per_time in ((0, 9), (1, 9), (7, 9), (250, 9), (5, 1000)):
+            axis = np.arange(n)
+            want = np.array_split(axis, max(1, n * per_time // 100))
+            got = [axis[s] for s in time_slices(n, per_time)]
+            assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
 
 class TestSecondOrder:
