@@ -2,10 +2,12 @@
 
 Subcommands: kernel, evolve, scenario, check, sweep. Configuration
 comes from an optional JSON file (--config) with individual flags
-taking precedence. All randomness is seeded and no environment or
-wall-clock input is consulted, so identical configurations produce
-byte-identical outputs. Floats are written with repr(), the shortest
-decimal that round-trips.
+taking precedence. Every key, whether from a flag, a config file or a
+sweep cell, is read through one getter that coerces it by its kind in
+KEYS. All randomness is seeded and no environment or wall-clock input
+is consulted, so identical configurations produce byte-identical
+outputs. Floats are written with repr(), the shortest decimal that
+round-trips.
 
 Exit codes: 0 success, 2 invalid input, 3 invariant violation or
 numerical-accuracy failure, 4 model mismatch.
@@ -63,9 +65,31 @@ from .scenarios import (
 
 SWEEP_CELL_LIMIT = 1_000_000
 
+#: The kind of every key the CLI reads: float (a finite real number), an
+#: int n (an integer >= n), bool (JSON true or false), str (a path), a
+#: tuple (one of these strings) or list (times: a comma list, a list of
+#: numbers or a {start, stop, num} range). A kind also gives the key's flag.
+KEYS = {
+    **dict.fromkeys(("tau1", "tau2", "t", "tol", "start", "stop", "omega", "a0_re", "a0_im",
+                     "g", "omega0", "flight_length", "speed", "mass", "sigma_x", "sigma_v",
+                     "energy", "hbar", "separation_d"), float),
+    "grid_points": 2, "num": 1, "seed": 0, "samples": 1, "n_photons": 0,
+    "instances": 1, "states": 1, "workers": 1,
+    "grid_units": bool, "allow_large": bool,
+    "spectrum": str, "rho0": str, "out": str,
+    "times": list,
+    "format": ("csv", "json"),
+    "method": tuple(m.value for m in Method),
+    "target": ("rabi", "oscillator", "cat", "factor"),
+    "reduction": ("gamma", "fitted_gamma", "modulus_at_t", "visibility_at_t", "t_decoherence"),
+}
 
-def _fmt(x) -> str:
-    return repr(float(x))
+_HELP = {
+    "out": "output path (default: stdout)",
+    "workers": "accepted for compatibility and ignored: cells run serially",
+}
+
+_REQUIRED = object()
 
 
 def _write_text(text: str, out_path):
@@ -76,7 +100,7 @@ def _write_text(text: str, out_path):
 
 
 def _csv(header, rows) -> str:
-    """One line per row; repr of each float, the bytes of _fmt."""
+    """One line per row; repr of each float."""
     lines = [",".join(header)]
     lines.extend(",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist())
     return "\n".join(lines) + "\n"
@@ -86,113 +110,128 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _load_config(path) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"malformed JSON config {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise InvalidInputError(f"{path}: config must be a JSON object")
-    return doc
+def _write_pair(csv_text: str, side: dict, out_path, side_path=None):
+    """CSV to out_path and the side document (kernel moments, scenario
+    summary) as JSON to side_path or stdout; both to stdout/stderr
+    without out_path."""
+    if out_path:
+        _write_text(csv_text, out_path)
+        _write_text(_json_text(side), side_path)
+    else:
+        sys.stdout.write(csv_text)
+        sys.stderr.write(_json_text(side))
 
 
-def _merge(args, defaults: dict, flag_names: tuple[str, ...]) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(defaults)
-    cfg.update(_load_config(getattr(args, "config", None)))
-    for name in flag_names:
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg[name] = value
+def _merge(args) -> dict:
+    """The config file's keys, overridden by the flags given."""
+    cfg = qio.load_json_object(args.config) if args.config else {}
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in KEYS and value is not None)
     return cfg
 
 
-def _parse_times(spec, tau2: float, grid_units: bool):
-    try:
-        if isinstance(spec, str):
-            values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
-        elif isinstance(spec, dict):
-            num = int(spec["num"])
-            if num > SWEEP_CELL_LIMIT:
-                raise ValueError(f"num must be at most {SWEEP_CELL_LIMIT}")
-            values = np.linspace(float(spec["start"]), float(spec["stop"]), num).tolist()
-        else:
-            values = [float(v) for v in np.atleast_1d(spec)]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"malformed times {spec!r}: {exc}")
+def _number(value) -> float:
+    """A time value: NaN and inf pass, for check_times to name them."""
+    if isinstance(value, bool):
+        raise TypeError()
+    return float(value)
+
+
+def _time_list(spec) -> list:
+    if isinstance(spec, str):
+        values = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
+    elif isinstance(spec, dict):
+        num = _get(spec, "num")
+        if num > SWEEP_CELL_LIMIT:  # refused before anything is allocated
+            raise ValueError(f"num must be at most {SWEEP_CELL_LIMIT}")
+        values = np.linspace(_get(spec, "start"), _get(spec, "stop"), num).tolist()
+    else:
+        values = [_number(v) for v in (spec if isinstance(spec, list) else [spec])]
     if not values:
-        raise InvalidInputError("empty time list")
-    if grid_units:
-        values = [v * tau2 for v in values]
+        raise ValueError("empty time list")
     return values
 
 
-def _require(cfg: dict, *names):
-    missing = [n for n in names if cfg.get(n) is None]
-    if missing:
-        raise InvalidInputError(f"missing required parameter(s): {', '.join(missing)}")
+def _coerce(kind, value):
+    """value as its kind; TypeError, ValueError or OverflowError if it is not one."""
+    if isinstance(value, bool) is not (kind is bool):
+        raise TypeError()
+    if kind is list:
+        return _time_list(value)
+    if kind is float:
+        value = float(value)
+        ok = math.isfinite(value)
+    elif isinstance(kind, int):  # the least value
+        number = float(value) if isinstance(value, str) else value
+        value = int(number)  # OverflowError at inf
+        ok = value == number and value >= kind
+    else:
+        ok = value in kind if isinstance(kind, tuple) else isinstance(value, kind)
+    if not ok:
+        raise ValueError()
+    return value
 
 
-def _num(cfg: dict, key: str, default=None, kind=float):
-    """cfg[key], or default, coerced by kind; InvalidInputError names the key."""
-    value = cfg.get(key, default)
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(kind)
+    if isinstance(kind, int):
+        return f"an integer >= {kind}"
+    return {float: "a finite number", bool: "true or false", str: "a string",
+            list: "a comma list, a list of numbers or a {start, stop, num} range"}[kind]
+
+
+def _get(cfg: dict, key: str, default=_REQUIRED):
+    """cfg[key] coerced by its kind in KEYS, or default where the key is
+    absent or null; InvalidInputError names the key."""
+    value = cfg.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidInputError(f"missing required parameter(s): {key}")
+        if default is None:
+            return None
+        value = default
+    kind = KEYS[key]
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-        expected = "an integer" if kind is int else "a number"
-        raise InvalidInputError(f"{key} must be {expected}, got {value!r}") from None
+        return _coerce(kind, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        raise InvalidInputError(
+            f"{key} must be {_describe(kind)}, got {value!r}{detail}") from None
+
+
+def _times(cfg, tau2: float, default=_REQUIRED) -> list:
+    """The times key, in units of tau2 when grid_units is true."""
+    times = _get(cfg, "times", default)
+    return [v * tau2 for v in times] if _get(cfg, "grid_units", False) else times
 
 
 def _kernel_params(cfg) -> KernelParams:
-    _require(cfg, "tau1", "tau2")
-    return KernelParams(tau1=_num(cfg, "tau1"), tau2=_num(cfg, "tau2"))
+    return KernelParams(tau1=_get(cfg, "tau1"), tau2=_get(cfg, "tau2"))
 
 
 # ---------------------------------------------------------------- kernel
 
 def cmd_kernel(args) -> int:
-    cfg = _merge(args, {"t": 1.0, "grid_points": 1024, "format": "csv"},
-                 ("tau1", "tau2", "t", "grid_points", "out", "format"))
+    cfg = _merge(args)
     params = _kernel_params(cfg)
-    t = _num(cfg, "t")
-    n = _num(cfg, "grid_points", kind=int)
-    if n < 2:
-        raise InvalidInputError("grid_points must be >= 2")
+    t = _get(cfg, "t", 1.0)
+    n = _get(cfg, "grid_points", 1024)
+    out = _get(cfg, "out", None)
     moments = asdict(kernel_moments(params, t))
     # Cover all but 1e-7 of the kernel mass (comfortably over the 1-1e-6 contract).
     grid = np.linspace(0.0, tail_cutoff(params, t, 1e-7), n)
     pdf = gamma_pdf(params, t, grid)
 
-    if cfg["format"] == "json":
+    if _get(cfg, "format", "csv") == "json":
         doc = {"t_prime": grid.tolist(), "pdf": pdf.tolist(), "moments": moments}
-        _write_text(_json_text(doc), cfg.get("out"))
-        return 0
-    csv_text = _csv(("t_prime", "pdf"), np.column_stack((grid, pdf)))
-    moments_text = _json_text(moments)
-    if cfg.get("out"):
-        _write_text(csv_text, cfg["out"])
-        sys.stdout.write(moments_text)
+        _write_text(_json_text(doc), out)
     else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(moments_text)
+        _write_pair(_csv(("t_prime", "pdf"), np.column_stack((grid, pdf))), moments, out)
     return 0
 
 
 # ---------------------------------------------------------------- evolve
-
-def _method_from_cfg(cfg) -> EvolutionMethod:
-    return EvolutionMethod.parse(
-        str(cfg.get("method", "closed_form")),
-        seed=_num(cfg, "seed", 0, int),
-        count=_num(cfg, "samples", 100_000, int),
-        tol=_num(cfg, "tol", 1e-10),
-    )
-
 
 def _check_evolved(states, times, tol: float):
     """Raise InvariantViolationError naming the first time whose state
@@ -210,68 +249,54 @@ def _check_evolved(states, times, tol: float):
 
 
 def cmd_evolve(args) -> int:
-    cfg = _merge(args, {"format": "csv", "grid_units": False},
-                 ("tau1", "tau2", "times", "t", "method", "seed", "samples",
-                  "tol", "spectrum", "rho0", "out", "format", "grid_units"))
-    _require(cfg, "spectrum", "rho0")
+    cfg = _merge(args)
+    spectrum = qio.load_spectrum(_get(cfg, "spectrum"))
+    rho0 = qio.load_state(_get(cfg, "rho0"))
     params = _kernel_params(cfg)
-    spectrum = qio.load_spectrum(cfg["spectrum"])
-    rho0 = qio.load_state(cfg["rho0"])
     report = validate_density(rho0, tol=1e-10)
     if report:
         raise InvalidInputError(
             "input state violates density invariants: "
             + "; ".join(str(v) for v in report)
         )
-    times_spec = cfg.get("times", cfg.get("t"))
-    if times_spec is None:
-        raise InvalidInputError("missing required parameter(s): times")
-    times = _parse_times(times_spec, params.tau2, bool(cfg["grid_units"]))
-    method = _method_from_cfg(cfg)
+    # --t is a one-time list, read as times so that a bad t gets the times message
+    times = _times(cfg, params.tau2, _REQUIRED if cfg.get("t") is None else cfg["t"])
+    method = EvolutionMethod.parse(_get(cfg, "method", "closed_form"), seed=_get(cfg, "seed", 0),
+                                   count=_get(cfg, "samples", 100_000),
+                                   tol=_get(cfg, "tol", 1e-10))
     out_tol = 1e-6 if method.kind is Method.MONTE_CARLO else 1e-9
+    fmt, out = _get(cfg, "format", "csv"), _get(cfg, "out", None)
 
     dim = rho0.dim
     states = evolve_many(rho0, spectrum, params, times, method)
     for part in time_slices(len(times), dim * dim):
         _check_evolved(states[part], times[part], out_tol)
 
-    if cfg["format"] == "json":
+    if fmt == "json":
         doc = {"times": times, "dim": dim,
                "states": [{"re": re, "im": im}
                           for re, im in zip(states.real.tolist(), states.imag.tolist())]}
-        _write_text(_json_text(doc), cfg.get("out"))
+        _write_text(_json_text(doc), out)
     else:
         header = ["t"] + [f"{part}_{i}_{j}" for i in range(dim) for j in range(dim)
                           for part in ("re", "im")]
         rows = np.column_stack((times, states.reshape(len(times), -1).view(float)))
-        _write_text(_csv(header, rows), cfg.get("out"))
+        _write_text(_csv(header, rows), out)
     return 0
 
 
 # -------------------------------------------------------------- scenario
 
-def _scenario_out(csv_text: str, summary: dict, out_path):
-    if out_path:
-        _write_text(csv_text, out_path)
-        Path(str(out_path) + ".summary.json").write_text(
-            _json_text(summary), encoding="utf-8"
-        )
-    else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(_json_text(summary))
-
-
 def _scenario_osc(cfg) -> tuple[str, dict]:
     kernel = _kernel_params(cfg)
     params = OscillatorParams(
-        omega=_num(cfg, "omega", 1.0),
-        a0=complex(_num(cfg, "a0_re", 1.0), _num(cfg, "a0_im", 0.0)),
+        omega=_get(cfg, "omega", 1.0),
+        a0=complex(_get(cfg, "a0_re", 1.0), _get(cfg, "a0_im", 0.0)),
         kernel=kernel,
     )
     gamma, nu = map(float, decoherence_rates(params.omega, kernel))
     default_span = 4.0 / gamma if gamma > 0 else 10.0 * kernel.tau2
-    times = _parse_times(cfg.get("times", {"start": 0.0, "stop": default_span, "num": 201}),
-                         kernel.tau2, bool(cfg.get("grid_units", False)))
+    times = _times(cfg, kernel.tau2, {"start": 0.0, "stop": default_span, "num": 201})
     traj = oscillator_amplitude(params, times)
     rows = [(t, v.real, v.imag, abs(v)) for t, v in zip(traj.times, traj.values)]
     frozen = milburn_frozen_frequencies(kernel, 3)
@@ -286,15 +311,17 @@ def _scenario_osc(cfg) -> tuple[str, dict]:
 
 
 def _cat_params(cfg) -> CatParams:
-    _require(cfg, "mass", "sigma_x", "separation_d")
-    mass = _num(cfg, "mass")
-    sigma_x = _num(cfg, "sigma_x")
-    hbar = _num(cfg, "hbar", 1.0)
-    sigma_v = _num(cfg, "sigma_v", hbar / (2.0 * mass * sigma_x))
-    energy = _num(cfg, "energy", 0.5 * mass * sigma_v**2)
+    mass = _get(cfg, "mass")
+    sigma_x = _get(cfg, "sigma_x")
+    hbar = _get(cfg, "hbar", 1.0)
+    try:  # the defaults divide by mass * sigma_x and square sigma_v
+        sigma_v = _get(cfg, "sigma_v", hbar / (2.0 * mass * sigma_x))
+        energy = _get(cfg, "energy", 0.5 * mass * sigma_v**2)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise InvalidInputError(f"mass, sigma_x, hbar or sigma_v out of range: {exc}") from None
     return CatParams(
         mass=mass, sigma_x=sigma_x, sigma_v=sigma_v,
-        separation_d=_num(cfg, "separation_d"), energy=energy,
+        separation_d=_get(cfg, "separation_d"), energy=energy,
         kernel=_kernel_params(cfg), hbar=hbar,
     )
 
@@ -305,17 +332,16 @@ def _scenario_cat(cfg) -> tuple[str, dict]:
     omega_if = interference_frequency(params)
     gamma = decay_rate(omega_if, kernel)
     t_dec = math.inf if gamma == 0 else 1.0 / gamma
-    times = _parse_times(cfg.get("times", [0.0, t_dec, 2.0 * t_dec]),
-                         kernel.tau2, bool(cfg.get("grid_units", False)))
+    times = _times(cfg, kernel.tau2, [0.0, t_dec, 2.0 * t_dec])
     span = params.separation_d / 2.0 + 8.0 * params.sigma_x
-    grid = np.linspace(-span, span, _num(cfg, "grid_points", 2001, int))
+    grid = np.linspace(-span, span, _get(cfg, "grid_points", 2001))
     blocks = []
     visibility = {}
     mass = {}
     for t in times:
         result = cat_interference(params, t, grid)
-        visibility[_fmt(t)] = result.visibility
-        mass[_fmt(t)] = result.mass
+        visibility[repr(t)] = result.visibility
+        mass[repr(t)] = result.mass
         blocks.append(np.column_stack((np.full(grid.size, t), grid, result.p_bar)))
     summary = {
         "omega_if": omega_if,
@@ -330,12 +356,11 @@ def _scenario_cat(cfg) -> tuple[str, dict]:
 
 def _scenario_rabi(cfg) -> tuple[str, dict]:
     kernel = _kernel_params(cfg)
-    params = RabiParams(g=_num(cfg, "g", 1.0),
-                        n_photons=_num(cfg, "n_photons", 0, int), kernel=kernel)
+    params = RabiParams(g=_get(cfg, "g", 1.0), n_photons=_get(cfg, "n_photons", 0),
+                        kernel=kernel)
     omega = params.rabi_frequency
     period = 2.0 * math.pi / omega
-    times = _parse_times(cfg.get("times", {"start": 0.0, "stop": 10.0 * period, "num": 2001}),
-                         kernel.tau2, bool(cfg.get("grid_units", False)))
+    times = _times(cfg, kernel.tau2, {"start": 0.0, "stop": 10.0 * period, "num": 2001})
     traj = rabi_population(params, times)
     gamma = rabi_damping_rate(params)
     rows = [(t, d, math.exp(-gamma * t)) for t, d in zip(traj.times, traj.values)]
@@ -354,26 +379,15 @@ def _scenario_rabi(cfg) -> tuple[str, dict]:
 def _scenario_epr(cfg) -> tuple[str, dict]:
     kernel = _kernel_params(cfg)
     params = EprParams(
-        omega0=_num(cfg, "omega0", 1.0),
-        flight_length=_num(cfg, "flight_length", 1.0),
-        speed=_num(cfg, "speed", 1.0),
+        omega0=_get(cfg, "omega0", 1.0),
+        flight_length=_get(cfg, "flight_length", 1.0),
+        speed=_get(cfg, "speed", 1.0),
         kernel=kernel,
     )
-    times = _parse_times(cfg.get("times", {"start": 0.0, "stop": params.flight_time, "num": 101}),
-                         kernel.tau2, bool(cfg.get("grid_units", False)))
-    x = (1.0, 0.0, 0.0)
-    y = (0.0, 1.0, 0.0)
-    z = (0.0, 0.0, 1.0)
-    rows = [
-        (
-            t,
-            epr_correlation(params, t, x, x),
-            epr_correlation(params, t, y, y),
-            epr_correlation(params, t, z, z),
-            epr_singlet_fidelity(params, t),
-        )
-        for t in times
-    ]
+    times = _times(cfg, kernel.tau2, {"start": 0.0, "stop": params.flight_time, "num": 101})
+    axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # E_xx, E_yy, E_zz
+    rows = [(t, *(epr_correlation(params, t, a, a) for a in axes), epr_singlet_fidelity(params, t))
+            for t in times]
     gamma, nu = map(float, decoherence_rates(params.omega0, kernel))
     summary = {
         "gamma": gamma,
@@ -393,49 +407,54 @@ _SCENARIOS = {
 
 
 def cmd_scenario(args) -> int:
-    cfg = _merge(args, {},
-                 ("tau1", "tau2", "times", "t", "seed", "out", "grid_units"))
-    if args.name not in _SCENARIOS:
-        raise InvalidInputError(f"unknown scenario {args.name!r}")
-    if cfg.get("times") is None and cfg.get("t") is not None:
-        cfg["times"] = [0.0, cfg["t"]] if cfg["t"] != 0 else [0.0]
+    cfg = _merge(args)
+    t = cfg.get("t")  # read as times, like evolve's
+    if cfg.get("times") is None and t is not None:
+        cfg["times"] = [0.0, t] if t != 0 else [0.0]
     csv_text, summary = _SCENARIOS[args.name](cfg)
-    _scenario_out(csv_text, summary, cfg.get("out"))
+    out = _get(cfg, "out", None)
+    _write_pair(csv_text, summary, out, f"{out}.summary.json")
     return 0
 
 
 # ----------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
-    cfg = _merge(args, {"seed": 20240601, "instances": 100, "states": 200},
-                 ("seed", "instances", "states", "out"))
-    report = run_all_checks(seed=_num(cfg, "seed", kind=int),
-                            instances=_num(cfg, "instances", kind=int),
-                            states=_num(cfg, "states", kind=int))
-    _write_text(_json_text(report.to_json_dict()), cfg.get("out"))
+    cfg = _merge(args)
+    report = run_all_checks(seed=_get(cfg, "seed", 20240601),
+                            instances=_get(cfg, "instances", 100),
+                            states=_get(cfg, "states", 200))
+    _write_text(_json_text(report.to_json_dict()), _get(cfg, "out", None))
     return 3 if report.violations else 0
 
 
 # ----------------------------------------------------------------- sweep
 
-def _axis_values(axis: dict):
+def _axis(axis):
+    """(name, size, values) of one sweep axis; values() lists its values,
+    each coerced by the kind of the axis's key."""
+    if not isinstance(axis, dict) or "name" not in axis:
+        raise InvalidInputError(f"axes must hold objects with a name, got {axis!r}")
+    name = axis["name"]
+    kind = KEYS.get(name) if isinstance(name, str) else None
+    if not (kind is float or isinstance(kind, int)):
+        raise InvalidInputError(f"axis name {name!r} is not a numeric parameter")
     values = axis.get("values")
     if isinstance(values, dict):
-        n = _num(values, "num", kind=int)
-        if n < 1:
-            raise InvalidInputError("axis num must be >= 1")
-        return n, lambda: np.linspace(_num(values, "start"), _num(values, "stop"), n).tolist()
-    if not isinstance(values, (list, tuple)) or not values:
-        raise InvalidInputError(f"axis {axis.get('name')!r} needs a non-empty values list")
-    name = str(axis["name"])
-    return len(values), lambda: [_num({name: v}, name) for v in values]
+        n = _get(values, "num")
+        return name, n, lambda: [
+            _get({name: v}, name)
+            for v in np.linspace(_get(values, "start"), _get(values, "stop"), n).tolist()]
+    if not isinstance(values, list) or not values:
+        raise InvalidInputError(f"axis {name!r} needs a non-empty values list")
+    return name, len(values), lambda: [_get({name: v}, name) for v in values]
 
 
 def _sweep_reduction(target: str, reduction: str, cell: dict) -> float:
     kernel = _kernel_params(cell)
     if target == "rabi":
-        params = RabiParams(g=_num(cell, "g", 1.0),
-                            n_photons=_num(cell, "n_photons", 0, int), kernel=kernel)
+        params = RabiParams(g=_get(cell, "g", 1.0), n_photons=_get(cell, "n_photons", 0),
+                            kernel=kernel)
         if reduction == "gamma":
             return rabi_damping_rate(params)
         if reduction == "fitted_gamma":
@@ -444,72 +463,58 @@ def _sweep_reduction(target: str, reduction: str, cell: dict) -> float:
             traj = rabi_population(params, times)
             return fit_envelope_rate(traj.times, traj.values)
     elif target == "oscillator":
-        omega = _num(cell, "omega", 1.0)
+        omega = _get(cell, "omega", 1.0)
         if reduction == "gamma":
             return decay_rate(omega, kernel)
         if reduction == "modulus_at_t":
-            return abs(propagator_factor(omega, kernel, _num(cell, "t")))
+            return abs(propagator_factor(omega, kernel, _get(cell, "t")))
     elif target == "cat":
         params = _cat_params(cell)
         gamma = decay_rate(interference_frequency(params), kernel)
         if reduction == "gamma":
             return gamma
         if reduction == "visibility_at_t":
-            return math.exp(-gamma * _num(cell, "t"))
+            return math.exp(-gamma * _get(cell, "t"))
         if reduction == "t_decoherence":
             return math.inf if gamma == 0 else 1.0 / gamma
     elif target == "factor":
         if reduction == "modulus_at_t":
-            return abs(propagator_factor(_num(cell, "omega"), kernel, _num(cell, "t")))
+            return abs(propagator_factor(_get(cell, "omega"), kernel, _get(cell, "t")))
     raise InvalidInputError(f"unsupported sweep target/reduction: {target}/{reduction}")
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge(args, {"allow_large": False}, ("allow_large", "out"))
-    _require(cfg, "target", "reduction", "axes")
-    axes = cfg["axes"]
+    cfg = _merge(args)
+    target, reduction = _get(cfg, "target"), _get(cfg, "reduction")
+    axes = cfg.get("axes")
     if not isinstance(axes, list) or not axes:
         raise InvalidInputError("sweep needs a non-empty axes list")
-    sizes = []
-    builders = []
-    names = []
-    for axis in axes:
-        if "name" not in axis:
-            raise InvalidInputError("each axis needs a name")
-        size, builder = _axis_values(axis)
-        names.append(str(axis["name"]))
-        sizes.append(size)
-        builders.append(builder)
+    names, sizes, builders = zip(*map(_axis, axes))
+    _get(cfg, "workers", 1)  # accepted and ignored: cells run serially
     n_cells = math.prod(sizes)
-    if n_cells > SWEEP_CELL_LIMIT and not cfg["allow_large"]:
+    if n_cells > SWEEP_CELL_LIMIT and not _get(cfg, "allow_large", False):
         raise InvalidInputError(
             f"sweep has {n_cells} cells (> {SWEEP_CELL_LIMIT}); "
             "pass --allow-large to run anyway"
         )
-    base = dict(cfg.get("base", {}))
+    base = cfg.get("base", {})
+    if not isinstance(base, dict):
+        raise InvalidInputError(f"base must be an object, got {base!r}")
+    base = dict(base)
     for key in ("tau1", "tau2"):
         if cfg.get(key) is not None:
             base.setdefault(key, cfg[key])
-    target = str(cfg["target"])
-    reduction = str(cfg["reduction"])
 
     rows = []
     for values in itertools.product(*[b() for b in builders]):
         cell = dict(base)
         cell.update(zip(names, values))
         rows.append(list(values) + [_sweep_reduction(target, reduction, cell)])
-    _write_text(_csv(tuple(names) + ("value",), rows), cfg.get("out"))
+    _write_text(_csv(names + ("value",), rows), _get(cfg, "out", None))
     return 0
 
 
 # ----------------------------------------------------------------- parser
-
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--tau1", type=float)
-    p.add_argument("--tau2", type=float)
-    p.add_argument("--out", help="output path (default: stdout)")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -517,51 +522,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coarse-grained density-matrix evolution with a Gamma time kernel",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kernel", help="tabulate the time kernel and its moments")
-    _add_common(p)
-    p.add_argument("--t", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("evolve", help="propagate a state file over a time list")
-    _add_common(p)
-    p.add_argument("--spectrum")
-    p.add_argument("--rho0")
-    p.add_argument("--t", type=float)
-    p.add_argument("--times")
-    p.add_argument("--method", choices=[m.value for m in Method])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--grid-units", dest="grid_units", action="store_const", const=True)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("scenario", help="run a physical scenario")
-    p.add_argument("name", choices=sorted(_SCENARIOS))
-    _add_common(p)
-    p.add_argument("--t", type=float)
-    p.add_argument("--times")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--grid-units", dest="grid_units", action="store_const", const=True)
-    p.set_defaults(func=cmd_scenario)
-
-    p = sub.add_parser("check", help="run the invariant battery")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--instances", type=int)
-    p.add_argument("--states", type=int)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("sweep", help="parameter sweep with a scalar reduction")
-    _add_common(p)
-    p.add_argument("--workers", type=int,
-                   help="accepted for compatibility and ignored: cells run serially")
-    p.add_argument("--allow-large", dest="allow_large", action="store_const", const=True)
-    p.set_defaults(func=cmd_sweep)
-
+    common = ("tau1", "tau2", "out")
+    for name, func, text, keys in (
+        ("kernel", cmd_kernel, "tabulate the time kernel and its moments",
+         common + ("t", "grid_points", "format")),
+        ("evolve", cmd_evolve, "propagate a state file over a time list",
+         common + ("spectrum", "rho0", "t", "times", "method", "seed", "samples", "tol",
+                   "format", "grid_units")),
+        ("scenario", cmd_scenario, "run a physical scenario",
+         common + ("t", "times", "grid_units")),
+        ("check", cmd_check, "run the invariant battery",
+         ("out", "seed", "instances", "states")),
+        ("sweep", cmd_sweep, "parameter sweep with a scalar reduction",
+         common + ("workers", "allow_large")),
+    ):
+        p = sub.add_parser(name, help=text)
+        if name == "scenario":
+            p.add_argument("name", choices=sorted(_SCENARIOS))
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        for key in keys:
+            kind, flag = KEYS[key], "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, dest=key, choices=kind)
+            else:
+                p.add_argument(flag, dest=key, help=_HELP.get(key),
+                               type=float if kind is float else int if isinstance(kind, int)
+                               else str)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -579,10 +568,7 @@ def main(argv=None) -> int:
     except (InvariantViolationError, NumericFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CrononError as exc:  # pragma: no cover
+    except CrononError as exc:  # InvalidInputError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,13 +24,15 @@ __all__ = [
 ]
 
 
-def _load_json(path) -> dict:
+def load_json_object(path) -> dict:
+    """The JSON object in the file at path; InvalidInputError if the file
+    cannot be read or does not hold a JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise InvalidInputError(f"malformed JSON in {path}: {exc}")
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{path}: expected a JSON object")
@@ -38,7 +40,7 @@ def _load_json(path) -> dict:
 
 
 def load_spectrum(path) -> EnergySpectrum:
-    doc = _load_json(path)
+    doc = load_json_object(path)
     try:
         return EnergySpectrum(energies=doc["energies"], hbar=float(doc.get("hbar", 1.0)))
     except (KeyError, TypeError, ValueError) as exc:
@@ -51,7 +53,7 @@ def save_spectrum(spectrum: EnergySpectrum, path) -> None:
 
 
 def load_state(path) -> DensityMatrix:
-    doc = _load_json(path)
+    doc = load_json_object(path)
     try:
         dim = int(doc["dim"])
         re = np.asarray(doc["re"], dtype=float)

@@ -73,7 +73,8 @@ class KernelParams:
     def __post_init__(self):
         for name in ("tau1", "tau2"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and 0 < value < math.inf):
                 raise InvalidInputError(f"{name} must be a positive number, got {value!r}")
 
     @property

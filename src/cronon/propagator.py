@@ -238,8 +238,9 @@ FACTORS = {
     Method.FINITE_DIFFERENCE: _finite_difference,
     Method.SECOND_ORDER: lambda w, params, t, method: np.exp(
         (-1j * (w * params.tau1) - 0.5 * (w * params.tau1) ** 2) * (t / params.tau2)),
-    Method.MILBURN: lambda w, params, t, method: np.exp(
-        (t / params.tau2) * (np.exp(-1j * w * params.tau1) - 1.0)),
+    # exp(-i x) - 1 as -(2 sin^2(x/2) + i sin x), which does not cancel at small x
+    Method.MILBURN: lambda w, params, t, method: np.exp(-(t / params.tau2) * (
+        2.0 * np.sin(0.5 * w * params.tau1) ** 2 + 1j * np.sin(w * params.tau1))),
     Method.QUADRATURE: _oracle(_quadrature_at),
     Method.MONTE_CARLO: _oracle(_monte_carlo_at),
 }

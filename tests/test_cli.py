@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cronon import DensityMatrix, EnergySpectrum, make_density_from_pure
@@ -388,6 +390,38 @@ class TestNonNumericConfigExit2:
         assert main(["scenario", "cat", "--config", cfg]) == 2
         assert "grid_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, doc, key", [
+        (["sweep"], {"target": "rabi", "reduction": "gamma", "base": [1],
+                     "axes": [{"name": "g", "values": [1.0]}]}, "base"),
+        (["sweep"], {"target": "rabi", "reduction": "gamma", "base": {"tau1": 1, "tau2": 1},
+                     "axes": [{"name": "g", "values": [1.0]}, 3]}, "axes"),
+        (["evolve", "--method", "monte_carlo", "--seed", "-1"], {}, "seed"),
+        (["scenario", "cat"], {"mass": 1.0, "sigma_x": 1.0, "separation_d": 12.0, "tau1": 0.01,
+                               "tau2": 0.01, "grid_points": -1}, "grid_points"),
+        (["kernel"], {"tau1": True, "tau2": 1}, "tau1"),
+        (["scenario", "rabi"], {"tau1": 1, "tau2": 1, "n_photons": 1.5}, "n_photons"),
+        (["evolve"], {"method": "monte_carlo", "seed": 1.5}, "seed"),
+        (["kernel"], {"tau1": 1, "tau2": 1, "format": "xml"}, "format"),
+        (["evolve"], {"grid_units": "no"}, "grid_units"),
+        (["check", "--instances", "-1"], {}, "instances"),
+        (["check", "--states", "-5"], {}, "states"),
+    ])
+    def test_refused_value(self, three_level_files, tmp_path, capsys, argv, doc, key):
+        if argv[0] == "evolve":
+            spectrum, state = three_level_files
+            doc = {"spectrum": spectrum, "rho0": state, "tau1": 1, "tau2": 1, "times": "1", **doc}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [(None, "Is a directory"),
+                                                  (b"\xff{", "malformed JSON")])
+    def test_unreadable_config_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "cfg"
+        path.mkdir() if content is None else path.write_bytes(content)
+        assert main(["kernel", "--tau1", "1", "--tau2", "1", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("num, message", [
     (1e9, "num must be at most 1000000"),
@@ -401,6 +435,67 @@ def test_time_count_above_cap_exit_2(three_level_files, tmp_path, capsys, num, m
         "times": {"start": 0, "stop": 1, "num": num}})
     assert main(["evolve", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+#: Values of the wrong type, out of range or non-finite; the numbers are
+#: small so that no accepted value makes a command allocate much.
+CONFUSED = [None, True, False, "x", "2", "", [], [1.0], {}, {"num": 2}, -1, 0, 2, 1.5, 2.0,
+            math.inf, math.nan]
+
+FUZZ_CONFIGS = {
+    ("kernel",): {"tau1": 1.0, "tau2": 1.0, "t": 1.0, "grid_points": 8, "format": "csv"},
+    ("evolve",): {"tau1": 1.0, "tau2": 1.0, "times": [0.0, 1.0], "method": "monte_carlo",
+                  "seed": 1, "samples": 20, "tol": 1e-8, "format": "json", "grid_units": False},
+    ("scenario", "osc"): {"tau1": 1.0, "tau2": 1.0, "omega": 1.0, "a0_re": 1.0, "a0_im": 0.0,
+                          "times": [0.0, 1.0], "grid_units": False},
+    ("scenario", "cat"): {"tau1": 0.5, "tau2": 1.0, "mass": 1.0, "sigma_x": 1.0, "hbar": 1.0,
+                          "separation_d": 4.0, "grid_points": 16, "times": [0.0, 1.0]},
+    ("scenario", "rabi"): {"tau1": 0.1, "tau2": 0.1, "g": 1.0, "n_photons": 1,
+                           "times": {"start": 0, "stop": 2, "num": 5}},
+    ("scenario", "epr"): {"tau1": 1.0, "tau2": 1.0, "omega0": 1.0, "flight_length": 1.0,
+                          "speed": 1.0, "times": [0.0, 0.5], "t": 1.0},
+    # no null for check: its default counts would run the full battery
+    ("check",): {"seed": 1, "instances": 1, "states": 1},
+    ("sweep",): {"target": "oscillator", "reduction": "modulus_at_t", "tau1": 1.0,
+                 "base": {"tau2": 1.0, "t": 1.0},
+                 "axes": [{"name": "omega", "values": [0.5, 1.0]},
+                          {"name": "t", "values": {"start": 0, "stop": 1, "num": 2}}]},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    save_spectrum(EnergySpectrum([0.0, 0.7, 1.9]), d / "s.json")
+    save_state(make_density_from_pure([1.0, 1.0 + 0.5j, 0.3]), d / "r.json")
+    return d
+
+
+@pytest.mark.filterwarnings("ignore::cronon.errors.NumericWarning")  # crude grids warn
+@pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS), ids="-".join)
+@given(data=st.data())
+def test_confused_config_exit_code(fuzz_dir, command, data):
+    import contextlib
+    import io
+    import re
+
+    keys = sorted(FUZZ_CONFIGS[command]) + (["spectrum", "rho0"] if command == ("evolve",) else [])
+    values = st.sampled_from([v for v in CONFUSED if v is not None or command != ("check",)])
+    doc = {"spectrum": str(fuzz_dir / "s.json"), "rho0": str(fuzz_dir / "r.json"),
+           **FUZZ_CONFIGS[command],
+           **data.draw(st.dictionaries(st.sampled_from(keys), values, max_size=3))}
+    out = fuzz_dir / "out"
+    for path in (out, fuzz_dir / "out.summary.json"):
+        path.unlink(missing_ok=True)
+    cfg = write_json(fuzz_dir / "cfg.json", doc)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*command, "--config", cfg, "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        written = [p.read_text() for p in (out, fuzz_dir / "out.summary.json") if p.exists()]
+        for text in (stdout.getvalue(), *written):
+            assert not re.search(r"\bnan\b", text, re.IGNORECASE), doc
 
 
 def reference_evolve_outputs(rho0, spectrum, params, times, method):

@@ -29,7 +29,7 @@ class TestKernelParams:
         with pytest.raises(InvalidInputError):
             KernelParams(tau1=1.0, tau2=-1.0)
 
-    @pytest.mark.parametrize("tau1", ["1", None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tau1", ["1", None, float("nan"), float("inf"), True])
     def test_non_numbers_rejected(self, tau1):
         with pytest.raises(InvalidInputError):
             KernelParams(tau1=tau1, tau2=1.0)

@@ -33,7 +33,7 @@ from cronon import (
 )
 from cronon.checks import random_density, random_spectrum
 from cronon.core import DensityMatrix
-from cronon.propagator import evolve_many, time_slices
+from cronon.propagator import coherence_factor, evolve_many, time_slices
 
 UNIT = KernelParams(tau1=1.0, tau2=1.0)
 THREE_LEVEL = EnergySpectrum([0.0, 0.7, 1.9])
@@ -100,19 +100,30 @@ class TestFactorTable:
             assert np.array_equal(out, out.conj().T)
 
     def test_closed_form_against_mpmath(self):
-        # relative error within 4 eps times the condition number
-        # 1 + (t/tau2) |Log(1 + i w tau1)| of the exponent
+        # Each analytic map F = exp(-(t/tau2) E(w tau1)), the closed form and
+        # the second-order and Milburn maps, within 4 eps times the condition
+        # number 1 + (t/tau2) |E| of its exponent, for t/tau2 up to 1e12.
+        # The last two take tau1 = 0.25, a power of two, so that w tau1 is
+        # exact: their exponents also amplify the rounding of w tau1 by about
+        # (t/tau2) w tau1, which this tolerance does not count.
         mpmath.mp.dps = 40
-        for params in (UNIT, KernelParams(tau1=0.3, tau2=2.5)):
-            for x in np.logspace(-9.0, 9.0, 19):
-                for k in np.logspace(-6.0, 3.0, 10):
-                    w, t = x / params.tau1, k * params.tau2
-                    log_step = mpmath.log(1 + 1j * (mpmath.mpf(w) * params.tau1))
-                    k_mp = mpmath.mpf(t) / params.tau2
-                    want = complex(mpmath.exp(-k_mp * log_step))
-                    cond = 1.0 + float(k_mp * abs(log_step))
-                    got = propagator_factor(w, params, t)
-                    assert abs(got - want) <= 4.0 * EPS * cond * abs(want) + 1e-300, (x, k)
+        for name, exponent, tau1 in (
+            ("closed_form", lambda x: mpmath.log(1 + 1j * x), 0.3),
+            ("second_order", lambda x: 1j * x + x * x / 2, 0.25),
+            ("milburn", lambda x: 1 - mpmath.exp(-1j * x), 0.25),
+        ):
+            method = EvolutionMethod.parse(name)
+            for params in (UNIT, KernelParams(tau1=tau1, tau2=2.5)):
+                for x in np.logspace(-9.0, 9.0, 19):
+                    for k in np.logspace(-6.0, 12.0, 19):
+                        w, t = x / params.tau1, k * params.tau2
+                        e = exponent(mpmath.mpf(w) * params.tau1)
+                        k_mp = mpmath.mpf(t) / params.tau2
+                        want = complex(mpmath.exp(-k_mp * e))
+                        cond = 1.0 + float(k_mp * abs(e))
+                        got = coherence_factor(w, params, t, method)
+                        assert abs(got - want) <= 4.0 * EPS * cond * abs(want) + 1e-300, \
+                            (name, x, k)
 
     @pytest.mark.parametrize("method, target", [
         (EvolutionMethod.quadrature(), "coarse_grain"),
