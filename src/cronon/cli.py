@@ -235,9 +235,9 @@ def cmd_kernel(args) -> int:
 
 def _check_evolved(states, times, tol: float):
     """Raise InvariantViolationError naming the first time whose state
-    violates an invariant at tol."""
+    violates an invariant at tol, or holds a NaN."""
     herm, tr_dev, lo = density_deviations(states)
-    bad = np.flatnonzero((herm > tol) | (tr_dev > tol) | (lo < -tol))
+    bad = np.flatnonzero(~((herm <= tol) & (tr_dev <= tol) & (lo >= -tol)))
     if bad.size:
         i = bad[0]
         report = violation_report(float(herm[i]), float(tr_dev[i]), float(lo[i]), tol)
@@ -363,7 +363,7 @@ def _scenario_rabi(cfg) -> tuple[str, dict]:
     times = _times(cfg, kernel.tau2, {"start": 0.0, "stop": 10.0 * period, "num": 2001})
     traj = rabi_population(params, times)
     gamma = rabi_damping_rate(params)
-    rows = [(t, d, math.exp(-gamma * t)) for t, d in zip(traj.times, traj.values)]
+    rows = [(t, d, math.exp(-gamma * t) if t else 1.0) for t, d in zip(traj.times, traj.values)]
     try:
         fitted = fit_envelope_rate(traj.times, traj.values) if len(times) > 100 else None
     except InvalidInputError:  # too few resolvable peaks on this grid

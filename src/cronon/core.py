@@ -170,25 +170,29 @@ def density_deviations(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrix in a stack of shape (..., d, d), each of the stack's shape.
 
     The eigenvalues are those of the Hermitian part, so positivity is
-    still reported for states that also fail hermiticity.
+    still reported for states that also fail hermiticity. Matrices with
+    a non-finite entry stay out of eigvalsh and get NaN deviations.
     """
     m = np.asarray(states)
     m_dag = np.swapaxes(m, -1, -2).conj()
     herm = np.max(np.abs(m - m_dag), axis=(-2, -1))
     tr_dev = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    lo = np.min(np.linalg.eigvalsh((m + m_dag) / 2.0), axis=-1)
+    finite, part = np.isfinite(herm), (m + m_dag) / 2.0
+    if not finite.all():
+        part = np.where(finite[..., None, None], part, 0.0)
+    lo = np.where(finite, np.min(np.linalg.eigvalsh(part), axis=-1), np.nan)
     return herm, tr_dev, lo
 
 
 def violation_report(herm: float, tr_dev: float, lo: float,
                      tol: float) -> list[InvariantViolation]:
-    """The invariants that the deviations of one state violate at `tol`."""
+    """The invariants that the deviations of one state violate at `tol` (or NaN)."""
     report = []
-    if herm > tol:
+    if not herm <= tol:
         report.append(InvariantViolation("hermiticity", herm, "max |rho - rho^dagger|"))
-    if tr_dev > tol:
+    if not tr_dev <= tol:
         report.append(InvariantViolation("trace", tr_dev, "|Tr(rho) - 1|"))
-    if lo < -tol:
+    if not lo >= -tol:
         report.append(InvariantViolation("positivity", -lo, f"min eigenvalue {lo:.6e}"))
     return report
 

@@ -111,12 +111,13 @@ class SampleSet:
 
 
 def _shape(params: KernelParams, t: float) -> float:
-    """The shape k = t/tau2 of a positive, finite t (k must not underflow)."""
+    """The shape k = t/tau2 of a positive, finite t (k must be finite and > 0)."""
     if not (np.isfinite(t) and t > 0):
         raise InvalidInputError(f"t must be positive, got {t}")
     k = params.shape(t)
-    if k == 0.0:
-        raise InvalidInputError(f"t/tau2 underflows to 0 at t={t!r}, tau2={params.tau2!r}")
+    if not 0.0 < k < math.inf:
+        raise InvalidInputError(f"t/tau2 under- or overflows to {k!r} at t={t!r}, "
+                                f"tau2={params.tau2!r}")
     return k
 
 
@@ -173,19 +174,31 @@ def tail_cutoff(params: KernelParams, t: float, tail: float) -> float:
     u = r - 1 by Newton's method. The equation is convex and increasing
     in u, and the start u0 = c + sqrt(c^2 + 2c), c = ln(1/tail)/k, lies
     above its root (u - ln(1 + u) >= u^2 / (2 (1 + u))), so every
-    iterate stays on the safe side of the root, up to rounding.
+    iterate stays on the safe side of the root, up to rounding. Where a
+    step would overflow (c > 1e153), one fixed-point step down for lam =
+    k (1 + u) = ln(1/tail) + k (1 + ln(lam/k)) is the root to rounding;
+    where u - ln(1 + u) cancels (c < 1e-20), so is u0, rounded upward.
     """
     k = _shape(params, t)
     if not (0.0 < tail < 1.0):
         raise InvalidInputError(f"tail must be in (0, 1), got {tail!r}")
-    c = -math.log(tail) / k
+    big = -math.log(tail)
+    c = big / k
     u = c + math.sqrt(c) * math.sqrt(c + 2.0)
-    for _ in range(100):
-        step = (u - math.log1p(u) - c) * (1.0 + u) / u
-        u -= step
-        if step <= 1e-13 * u:
-            break
-    return params.tau1 * k * (1.0 + u)
+    if c > 1e153:  # k/lam < 1e-153, and lam = 2 ln(1/tail) lies above the root
+        cutoff = params.tau1 * (big + k * (1.0 + math.log(2.0 * big) - math.log(k)))
+    elif c < 1e-20:  # u0 exceeds the root by about c/3
+        cutoff = params.tau1 * math.nextafter(k + k * u, math.inf)
+    else:
+        for _ in range(100):
+            step = (u - math.log1p(u) - c) * (1.0 + u) / u
+            u -= step
+            if step <= 1e-13 * u:
+                break
+        cutoff = params.tau1 * k * (1.0 + u)
+    if cutoff == math.inf:
+        raise InvalidInputError(f"the tail cutoff overflows at tau1={params.tau1!r}, t/tau2={k!r}")
+    return cutoff
 
 
 def sample_effective_time(

@@ -10,9 +10,10 @@ propagator module, evaluated at one characteristic frequency:
                  visibility decays as exp(-gamma t).
     Rabi         the population difference cos(Omega t) of a two-level
                  atom damps at gamma(Omega), Omega = g sqrt(n+1).
-    EPR          the singlet coherence |+-><-+| decays at the Larmor
-                 splitting, erasing transverse spin correlations while
-                 E(z, z) = -1 survives in the diagonal sector.
+    EPR          only the singlet coherence |+-><-+| moves, carrying F
+                 at the Larmor splitting omega0: the spin correlation is
+                 E(a, b) = -a_z b_z - Re[F (a_x + i a_y)(b_x - i b_y)]
+                 and the singlet fidelity (1 + Re F)/2.
 
 The cat interference frequency deserves a note. For two stationary
 packets of width sigma_x centered at +-D/2, exact free evolution gives
@@ -73,12 +74,6 @@ __all__ = [
 CAT_FREQ_COEFF = 0.25
 
 _CLOSED_FORM = EvolutionMethod.closed_form()
-
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def decay_rate(omega: float, kernel: KernelParams) -> float:
@@ -175,6 +170,9 @@ class EprParams:
         if not np.isfinite(self.omega0):
             raise InvalidInputError("omega0 must be finite")
         _check_positive(flight_length=self.flight_length, speed=self.speed)
+        if not math.isfinite(self.flight_time):
+            raise InvalidInputError(f"flight_length / speed = {self.flight_length!r} / "
+                                    f"{self.speed!r} overflows")
 
     @property
     def flight_time(self) -> float:
@@ -342,39 +340,35 @@ def epr_state(params: EprParams, t: float) -> DensityMatrix:
     exp(-(gamma + i nu) t) at the Larmor splitting omega0.
     """
     f = coherence_factor(params.omega0, params.kernel, t, _CLOSED_FORM)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[1, 1] = rho[2, 2] = 0.5
-    rho[1, 2] = -0.5 * f
-    rho[2, 1] = -0.5 * f.conjugate()
-    return DensityMatrix(rho)
+    return DensityMatrix([[0, 0, 0, 0], [0, 0.5, -0.5 * f, 0],
+                          [0, -0.5 * f.conjugate(), 0.5, 0], [0, 0, 0, 0]])
 
 
-def _spin_axis_operator(axis) -> np.ndarray:
+def _spin_axis(axis) -> tuple[complex, float]:
+    """(a_x + i a_y, a_z) of a unit 3-vector."""
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,):
         raise InvalidInputError("spin axis must be a 3-vector")
-    if abs(np.linalg.norm(a) - 1.0) > 1e-9:
-        raise InvalidInputError(f"spin axis must be a unit vector, |a| = {np.linalg.norm(a)!r}")
-    return a[0] * _PAULI["x"] + a[1] * _PAULI["y"] + a[2] * _PAULI["z"]
+    norm = math.hypot(*a)
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+        raise InvalidInputError(f"spin axis must be a unit vector, |a| = {norm!r}")
+    return complex(a[0], a[1]), float(a[2])
 
 
 def epr_correlation(params: EprParams, t: float, a, b) -> float:
-    """Spin correlation E(a, b) = Tr[rho(t) (sigma.a x sigma.b)].
-
-    E(z, z) = -1 for all t (diagonal sector); transverse correlations
-    decay with the coherence, E(x, x) = -exp(-gamma t) cos(nu t).
+    """Spin correlation Tr[rho(t) (sigma.a x sigma.b)], which is
+    E(a, b) = -a_z b_z - Re[F (a_x + i a_y)(b_x - i b_y)] for the
+    |+-><-+| multiplier F: E(z, z) = -1 for all t, while transverse
+    correlations decay with F, E(x, x) = -exp(-gamma t) cos(nu t).
     """
-    op = np.kron(_spin_axis_operator(a), _spin_axis_operator(b))
-    rho = epr_state(params, t).entries
-    val = complex(np.einsum("ij,ji->", rho, op))
-    return val.real
+    (pa, za), (pb, zb) = _spin_axis(a), _spin_axis(b)
+    f = coherence_factor(params.omega0, params.kernel, t, _CLOSED_FORM)
+    return -za * zb - (f * (pa * pb.conjugate())).real
 
 
 def epr_singlet_fidelity(params: EprParams, t: float) -> float:
-    """Overlap <singlet| rho(t) |singlet> = (1 + Re factor)/2."""
-    singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    rho = epr_state(params, t).entries
-    return float(np.real(singlet.conj() @ rho @ singlet))
+    """Overlap <singlet| rho(t) |singlet> = (1 + Re F)/2."""
+    return (1.0 + coherence_factor(params.omega0, params.kernel, t, _CLOSED_FORM).real) / 2.0
 
 
 def fit_envelope_rate(times, values) -> float:

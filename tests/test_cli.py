@@ -567,6 +567,41 @@ class TestEvolveOutputsMatchPerTimeLoop:
         assert "t=2.0" in err and "positivity" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in the rates
+@pytest.mark.parametrize("argv, doc, code, named", [
+    # the Chernoff cutoff once overflowed (exit 1) or came out NaN (exit 2)
+    (["kernel", "--tau2", "1e300", "--t", "1"], {}, 0, None),
+    (["kernel", "--tau2", "1", "--t", "5e-324"], {}, 0, None),
+    # t/tau2 = inf: NaN coherences, once written (dim 2) or fed to eigvalsh (dim 3)
+    (["evolve", "--tau2", "5e-324", "--times", "0,1"], {"energies": [0, 1]}, 3, "t=1.0"),
+    (["evolve", "--tau2", "5e-324", "--times", "0,1"], {"energies": [0, 1, 2.5]}, 3, "t=1.0"),
+    # gamma = inf: the envelope exp(-gamma t) was NaN at t = 0
+    (["scenario", "rabi"], {"tau1": 0.1, "tau2": 0.1, "g": 1e300, "times": [0, 1]}, 0, None),
+    (["scenario", "epr"], {"tau2": 1, "omega0": 5e-324, "speed": 5e-324, "times": [0, 1]}, 2,
+     "flight_length / speed"),
+])
+def test_extreme_finite_input_exits_cleanly(tmp_path, capsys, argv, doc, code, named):
+    if argv[0] == "evolve":  # doc is the spectrum; the state is |+> on the first two levels
+        save_spectrum(EnergySpectrum(doc["energies"]), tmp_path / "s.json")
+        save_state(make_density_from_pure([1.0, 1.0] + [0.0] * (len(doc["energies"]) - 2)),
+                   tmp_path / "r.json")
+        argv = [*argv, "--spectrum", str(tmp_path / "s.json"), "--rho0", str(tmp_path / "r.json")]
+        doc = {}
+    out = tmp_path / "out.csv"
+    cfg = write_json(tmp_path / "cfg.json", {"tau1": 1, **doc})
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if named:
+        assert named in captured.err
+    if code == 0:
+        header, rows = parse_csv(out.read_text())
+        if argv[0] == "kernel":  # the density at t' = 0 is +inf for shape < 1, by definition
+            rows = rows[1:]
+        assert np.all(np.isfinite(rows)), rows
+        assert "NaN" not in captured.out + "".join(
+            p.read_text() for p in tmp_path.glob("out.csv.summary.json"))
+
+
 def test_closed_form_commands_never_import_scipy(tmp_path):
     # one fresh interpreter: every command but `check` runs without scipy
     script = """

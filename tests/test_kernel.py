@@ -146,6 +146,24 @@ class TestTailCutoff:
         mass = mpmath.gammainc(k, cut / tau1, mpmath.inf, regularized=True)
         assert 0.0 < float(mass) <= 1e-7
 
+    @pytest.mark.parametrize("k", [1e-320, 1e-300, 1e-160, 1e22, 1e33, 1e300])
+    def test_extreme_shapes(self, k):
+        # tiny shapes overflowed the Newton step; huge ones left the cutoff at the mean
+        from scipy import special
+
+        cut = tail_cutoff(UNIT, k, 1e-7)
+        assert k < cut < math.inf
+        if k < 1.0:  # scipy agrees with mpmath here, which takes seconds at such shapes
+            assert special.gammaincc(k, cut) <= 1e-7
+        elif k < 1e30:
+            assert (cut - k) / math.sqrt(k) >= 5.19  # the normal quantile of 1e-7
+
+    @pytest.mark.parametrize("params, t", [(KernelParams(1.0, 1e-300), 1e300),
+                                           (KernelParams(1e308, 1.0), 1.0)])
+    def test_overflow_refused(self, params, t):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            tail_cutoff(params, t, 1e-7)
+
     def test_kernel_grid_ends_at_cutoff(self, tmp_path):
         from cronon.cli import main
 

@@ -315,6 +315,39 @@ class TestEpr:
         with pytest.raises(InvalidInputError):
             epr_correlation(self.params(), 1.0, (1.0, 1.0, 0.0), Z)
 
+    def test_closed_forms_match_trace_over_epr_state(self):
+        # reference: Tr[rho (sigma.a x sigma.b)] and <singlet| rho |singlet>
+        # over the explicit 4x4 state, with the Pauli matrices spelled out
+        pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(23)
+        for i in range(50):
+            kernel = KernelParams(*(10.0 ** rng.uniform(-1.0, 1.0, 2)))
+            params = self.params(omega0=float(rng.uniform(-5.0, 5.0)), kernel=kernel)
+            t = 0.0 if i == 0 else float(rng.uniform(0.0, 10.0))
+            rho = epr_state(params, t).entries
+            fidelity = float(np.real(singlet.conj() @ rho @ singlet))
+            assert abs(epr_singlet_fidelity(params, t) - fidelity) <= 4 * eps
+            a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+            for u, v in ((a, b), (X, X), (Y, Y), (Z, Z)):
+                op = np.kron(sum(c * s for c, s in zip(u, pauli)),
+                             sum(c * s for c, s in zip(v, pauli)))
+                want = complex(np.einsum("ij,ji->", rho, op)).real
+                got = epr_correlation(params, t, u, v)
+                assert got == want if u is v else abs(got - want) <= 4 * eps
+
+    def test_fidelity_is_one_at_t0(self):
+        assert epr_singlet_fidelity(self.params(), 0.0) == 1.0
+
+    @pytest.mark.parametrize("axis", [(math.nan, 0.0, 0.0), (1.0, math.nan, 0.0),
+                                      (0.0, 0.0, math.nan)])
+    def test_nan_axis_rejected(self, axis):
+        with pytest.raises(InvalidInputError):
+            epr_correlation(self.params(), 1.0, axis, Z)
+        with pytest.raises(InvalidInputError):
+            epr_correlation(self.params(), 1.0, Z, axis)
+
     def test_correlation_is_minus_cosine_for_singlet(self):
         # E(a, b) = -a.b at t = 0
         params = self.params()
